@@ -67,8 +67,8 @@ radnet::sim::RunResult run_once(std::uint32_t n, double p, unsigned threads,
 }
 
 // A churned-dynamic trial: churn = 0.5 routes every delivery through the
-// pair sketch, so the round cost is dominated by the sender-chunked gather
-// and group-chunked classify phases this row prices.
+// pair sketch, so the round cost is dominated by the per-listener-block
+// sketch pass this row prices.
 radnet::sim::RunResult run_once_sketch(std::uint32_t n, unsigned threads,
                                        std::uint64_t seed) {
   radnet::sim::Engine engine;
@@ -245,11 +245,13 @@ int main(int argc, char** argv) {
   std::cout << "\nbest CSR speedup: " << csr_best << "x on " << hw
             << " hardware threads\n";
 
-  // --- sharded sketch phases: churned-dynamic rows --------------------
-  const auto n_dyn = static_cast<std::uint32_t>(env.scaled(1u << 21, 1u << 12));
+  // --- sharded sketch pass: churned-dynamic rows ----------------------
+  // Never below 2^18 = four listener blocks: a smaller row has too few
+  // blocks for its sketch pass to share.
+  const auto n_dyn = static_cast<std::uint32_t>(env.scaled(1u << 21, 1u << 18));
   std::cout << "\ndynamic sketch: n = " << n_dyn
-            << ", p = 16/n, churn = 0.5 (sender-chunked gather + "
-            << "group-chunked classify dominate the round)\n\n";
+            << ", p = 16/n, churn = 0.5 (the per-listener-block sketch "
+            << "pass dominates the round)\n\n";
   const double s0 = now_ms();
   const auto sketch_serial = run_once_sketch(n_dyn, 1, env.seed);
   const double sketch_serial_ms = now_ms() - s0;

@@ -300,13 +300,17 @@ class GnpSampler {
     if (pool_ != nullptr && blocks > 1) {
       const bool want_records = wants_records<Record>();
       if (buffers_.size() < blocks) buffers_.resize(blocks);
-      pool_->parallel_for_index(blocks, [&](std::uint64_t b) {
+      const auto run_buffered = [&](std::uint64_t b) {
         ShardBuffer& buf = buffers_[b];
         buf.clear();
         BufferEmitter em{buf, want_records, collisions_inert,
                          inert_deliveries};
         run_block(b, em, round_key_.fork(b));
-      });
+      };
+      // A single captured reference keeps the pool's std::function in its
+      // inline storage: no per-round heap allocation.
+      pool_->parallel_for_index(
+          blocks, [&run_buffered](std::uint64_t b) { run_buffered(b); });
       merge_shard_buffers(std::span<const ShardBuffer>(buffers_.data(), blocks),
                           sink, record);
     } else {
@@ -366,13 +370,15 @@ class GnpSampler {
         const bool want_records = wants_records<Record>();
         if (buffers_.size() < blocks) buffers_.resize(blocks);
         if (att_counts_.size() < blocks) att_counts_.resize(blocks);
-        pool_->parallel_for_index(blocks, [&](std::uint64_t b) {
+        const auto run_buffered = [&](std::uint64_t b) {
           ShardBuffer& buf = buffers_[b];
           buf.clear();
           BufferEmitter em{buf, want_records, collisions_inert};
           Rng rng = att_key.fork(b).make_rng();
           att_counts_[b] = run_chunk(b, em, rng);
-        });
+        };
+        pool_->parallel_for_index(
+            blocks, [&run_buffered](std::uint64_t b) { run_buffered(b); });
         merge_shard_buffers(std::span<const ShardBuffer>(buffers_.data(), blocks),
                             sink, record);
         for (std::uint64_t b = 0; b < blocks; ++b) {

@@ -6,7 +6,7 @@
 // states are tracked *lazily*: only pairs whose state was individually
 // resolved — a clean delivery identifies its (sender, listener) pair; the
 // sparse path enumerates every present pair it touches — enter a bounded
-// per-sender sketch; everything else stays at its exact Bernoulli(p)
+// listener-block sketch; everything else stays at its exact Bernoulli(p)
 // marginal. On re-examination after g rounds a sketched pair keeps its
 // recorded state with probability (1 - churn)^g (the probability no
 // re-sample hit it) and is re-drawn fresh otherwise — exactly the ChurnGnp
@@ -31,28 +31,29 @@
 //     exact regimes against the explicit ChurnGnp oracle statistically
 //     and bands the modelled regime.
 //
-// Parallelism: the round sweeps and the failure injection shard into the
-// counter-keyed listener blocks of the shared sampler, and the sketch
-// phases shard too, under the per-chunk merge contract of sim/sharding.hpp:
-// gather decomposes per fixed-width *sender* chunk (distinct senders own
-// disjoint sketch chains, so chunk walks are race-free; frees and head
-// erasures are deferred to a serial commit in chunk order), classify per
-// pinned-listener-*group* chunk (groups are independent given the gathered
-// pinned set; sketch insertions and pinned events are buffered per chunk
-// and replayed serially in ascending chunk = listener order). Every draw
-// comes from a (round, chunk)-keyed stream — gather chunk c from
-// churn_key.fork(round).fork(c), classify chunk c from the reserved
-// kClassifyLane below it — so results are bit-identical at any thread
-// count (the serial schedule walks the same chunks inline).
+// Parallelism: every phase shards into the counter-keyed listener blocks of
+// the shared sampler (detail::kShardBlockSize). The round sweeps and the
+// failure injection do so as in backends/implicit.hpp; the pair sketch is
+// partitioned by the same blocks — block b owns the flat entry list of the
+// present pairs whose listener lies in b, capped at its share of
+// sketch_capacity. One task per block streams its entries once per round,
+// compacting them in place: stale entries are recycled, the pairs of this
+// round's transmitters are resolved (persistence draw), negative outcomes
+// dropped, and the block's pinned listeners sorted and classified. Every
+// draw of block b comes from churn_key.fork(round).fork(b), and the blocks'
+// pinned events concatenate in block (= ascending listener) order, so
+// results are bit-identical at any thread count (the serial schedule runs
+// the same blocks inline). The record hook is a flat append to the
+// listener's block; there is no hash map and no cross-block state.
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <functional>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/backends/implicit.hpp"
@@ -89,9 +90,11 @@ struct ImplicitDynamicGnp {
   /// mobility as density change (devices drifting apart / together);
   /// exact at churn = 1, modelled otherwise.
   std::function<double(std::uint32_t)> p_of_round;
-  /// Bound on the pair-state sketch, in entries (~12 B each). When full,
-  /// new positive resolutions are forgotten instead of tracked (modelled
-  /// fallback); stale entries are recycled continuously.
+  /// Bound on the pair-state sketch, in entries (12 B each), split over the
+  /// listener blocks in proportion to their listener counts. When a block's
+  /// share is full, new positive resolutions for its listeners are
+  /// forgotten instead of tracked (modelled fallback); stale entries are
+  /// recycled every round.
   std::uint32_t sketch_capacity = 1u << 22;
   /// Root of the backend's private randomness, split into the sub-streams
   /// below; a run consumes a copy, so the same spec replays identically.
@@ -107,154 +110,6 @@ struct ImplicitDynamicGnp {
   static constexpr std::uint64_t kChurnStream = 0xc4a7ull;
   static constexpr std::uint64_t kFailStream = 0xfa11ull;
 };
-
-namespace detail {
-
-/// Bounded store of individually resolved *present* ordered pairs, indexed
-/// by sender so a round touches exactly the entries whose sender transmits.
-/// Entries live in a pooled free-list (12 B each); when the pool is full,
-/// new resolutions are dropped (the modelled fallback) until stale entries
-/// are recycled.
-class PairSketch {
- public:
-  static constexpr std::uint32_t kNil = 0xffffffffu;
-
-  void reset(std::size_t capacity) {
-    pool_.clear();
-    heads_.clear();
-    free_head_ = kNil;
-    size_ = 0;
-    capacity_ = capacity;
-  }
-
-  [[nodiscard]] std::size_t size() const noexcept { return size_; }
-
-  void insert(NodeId sender, NodeId listener, std::uint32_t round) {
-    if (size_ >= capacity_) return;  // full: forget (modelled fallback)
-    std::uint32_t idx;
-    if (free_head_ != kNil) {
-      idx = free_head_;
-      free_head_ = pool_[idx].next;
-    } else {
-      idx = static_cast<std::uint32_t>(pool_.size());
-      pool_.push_back({});
-    }
-    auto [it, fresh] = heads_.try_emplace(sender, idx);
-    Entry& e = pool_[idx];
-    e.listener = listener;
-    e.round = round;
-    if (fresh) {
-      e.next = kNil;
-    } else {
-      e.next = it->second;
-      it->second = idx;
-    }
-    ++size_;
-  }
-
-  /// Walks sender's entries in insertion order (most recent first), calling
-  /// f(listener, round&); f returns whether to keep the entry (it may
-  /// update the round in place). Erased entries go back to the free list.
-  template <class F>
-  void visit(NodeId sender, F&& f) {
-    const auto it = heads_.find(sender);
-    if (it == heads_.end()) return;
-    std::uint32_t* link = &it->second;
-    while (*link != kNil) {
-      Entry& e = pool_[*link];
-      if (f(e.listener, e.round)) {
-        link = &e.next;
-      } else {
-        const std::uint32_t idx = *link;
-        *link = e.next;
-        e.next = free_head_;
-        free_head_ = idx;
-        --size_;
-      }
-    }
-    if (it->second == kNil) heads_.erase(it);
-  }
-
-  /// The parallel-phase variant of visit(): walks and mutates sender's
-  /// chain exactly like visit(), but *defers* every shared-state effect —
-  /// unlinked entry indices append to `freed` instead of the free list, and
-  /// an emptied head is left in place (value kNil) with the sender noted in
-  /// `emptied` for the caller to erase later. Distinct senders own disjoint
-  /// chains and distinct map slots, and the map's bucket structure is never
-  /// modified here, so concurrent calls for distinct senders are race-free.
-  template <class F>
-  void visit_deferred(NodeId sender, F&& f, std::vector<std::uint32_t>& freed,
-                      std::vector<NodeId>& emptied) {
-    const auto it = heads_.find(sender);
-    if (it == heads_.end()) return;
-    std::uint32_t* link = &it->second;
-    while (*link != kNil) {
-      Entry& e = pool_[*link];
-      if (f(e.listener, e.round)) {
-        link = &e.next;
-      } else {
-        const std::uint32_t idx = *link;
-        *link = e.next;
-        freed.push_back(idx);
-      }
-    }
-    if (it->second == kNil) emptied.push_back(sender);
-  }
-
-  /// Serial completion of a batch of visit_deferred() calls: returns the
-  /// unlinked entries to the free list in the order given and erases the
-  /// emptied heads. Calling per chunk in ascending chunk order keeps the
-  /// free-list (and therefore future slot reuse) deterministic — free-list
-  /// order is never observable in output, but determinism keeps the pool
-  /// layout reproducible for debugging.
-  void commit_deferred(std::span<const std::uint32_t> freed,
-                       std::span<const NodeId> emptied) {
-    for (const std::uint32_t idx : freed) {
-      pool_[idx].next = free_head_;
-      free_head_ = idx;
-      --size_;
-    }
-    for (const NodeId sender : emptied) heads_.erase(sender);
-  }
-
-  /// Drops every entry older than `horizon` rounds — reclaims the slots of
-  /// senders that stopped transmitting. Only the *set* of dropped entries
-  /// is observable (free-list order never is), so iterating the unordered
-  /// map here cannot perturb reproducibility.
-  void drop_stale(std::uint32_t round, std::uint64_t horizon) {
-    for (auto it = heads_.begin(); it != heads_.end();) {
-      std::uint32_t* link = &it->second;
-      while (*link != kNil) {
-        Entry& e = pool_[*link];
-        if (round - e.round > horizon) {
-          const std::uint32_t idx = *link;
-          *link = e.next;
-          e.next = free_head_;
-          free_head_ = idx;
-          --size_;
-        } else {
-          link = &e.next;
-        }
-      }
-      it = it->second == kNil ? heads_.erase(it) : std::next(it);
-    }
-  }
-
- private:
-  struct Entry {
-    NodeId listener = 0;
-    std::uint32_t round = 0;
-    std::uint32_t next = kNil;
-  };
-
-  std::vector<Entry> pool_;
-  std::unordered_map<NodeId, std::uint32_t> heads_;
-  std::uint32_t free_head_ = kNil;
-  std::size_t size_ = 0;
-  std::size_t capacity_ = 0;
-};
-
-}  // namespace detail
 
 /// The implicit *dynamic* G(n,p) backend: link churn with lazy pair-state
 /// tracking, permanent node failures and density schedules, all without
@@ -286,11 +141,17 @@ class ImplicitDynamicGnpTopology {
       // a fresh Bernoulli(p), so the entry can be recycled.
       horizon_ = static_cast<std::uint64_t>(
           std::ceil(std::log(1e-12) / log1m_churn_));
-      sketch_.reset(spec.sketch_capacity);
-      // Start reclaiming stale entries once the pool is three-quarters
-      // full (never at zero capacity).
-      sketch_watermark_ =
-          std::max<std::size_t>(1, spec.sketch_capacity / 4u * 3u);
+      // Block b's share of the capacity is proportional to its listener
+      // count; the shares sum to sketch_capacity exactly.
+      const std::uint64_t n = spec.n;
+      const std::uint64_t cap = spec.sketch_capacity;
+      sketch_.resize(detail::block_count(n, detail::kShardBlockSize));
+      for (std::uint64_t b = 0; b < sketch_.size(); ++b) {
+        const std::uint64_t lo = b * detail::kShardBlockSize;
+        const std::uint64_t hi =
+            std::min<std::uint64_t>(n, lo + detail::kShardBlockSize);
+        sketch_[b].cap = cap * hi / n - cap * lo / n;
+      }
       marks_.assign(spec.n, 0);
     }
     if (fail_prob_ > 0.0) {
@@ -302,15 +163,19 @@ class ImplicitDynamicGnpTopology {
   [[nodiscard]] NodeId num_nodes() const { return sampler_.n(); }
 
   /// Number of live pair-state sketch entries (for tests / diagnostics).
-  [[nodiscard]] std::size_t sketch_size() const { return sketch_.size(); }
+  [[nodiscard]] std::size_t sketch_size() const {
+    std::size_t size = 0;
+    for (const SketchBlock& blk : sketch_) size += blk.entries.size();
+    return size;
+  }
 
   /// Number of permanently failed nodes so far.
   [[nodiscard]] NodeId failed_count() const { return failed_count_; }
 
-  /// Accepted for the sharded sweep, the failure injection and the sketch
-  /// phases (gather per sender chunk, classify per pinned-group chunk);
-  /// serial when null. Either way the output is bit-identical — every
-  /// phase is chunk-decomposed and counter-keyed the same way regardless.
+  /// Accepted for the sharded sweep, the failure injection and the
+  /// per-block sketch pass; serial when null. Either way the output is
+  /// bit-identical — every phase is block-decomposed and counter-keyed the
+  /// same way regardless.
   void set_parallelism(ThreadPool* pool) {
     pool_ = pool;
     sampler_.set_parallelism(pool);
@@ -319,19 +184,12 @@ class ImplicitDynamicGnpTopology {
   void begin_round(std::uint32_t round) {
     round_ = round;
     sampler_.begin_round(round);
-    // The sketch and failure streams are keyed per (round, chunk/block) at
-    // phase time: every draw this round is a pure function of (spec seed,
-    // round, position), never of how many draws earlier rounds consumed.
+    // The sketch and failure streams are keyed per (round, block) at phase
+    // time: every draw this round is a pure function of (spec seed, round,
+    // block), never of how many draws earlier rounds consumed.
     if (p_of_round_)
       sampler_.set_p(std::clamp(p_of_round_(round), 0.0, 1.0));
     if (fail_prob_ > 0.0) draw_failures();
-    // Lazily reclaim entries of senders that stopped transmitting once the
-    // pool fills up; at most one linear sweep per horizon window.
-    if (churn_ < 1.0 && sketch_.size() >= sketch_watermark_ &&
-        round_ - last_sweep_round_ > horizon_) {
-      sketch_.drop_stale(round_, horizon_);
-      last_sweep_round_ = round_;
-    }
   }
 
   template <class Sink>
@@ -352,27 +210,35 @@ class ImplicitDynamicGnpTopology {
     if (k == 0) return;
     const bool sampling = sampler_.p() > 0.0;
     const bool tracking = churn_ < 1.0;
-    if (!sampling && (!tracking || sketch_.size() == 0)) return;
+    const bool pinning = tracking && sketch_size() > 0;
+    if (!sampling && !pinning) return;
 
     // Phase 1: resolve every sketched pair whose sender transmits — these
     // listeners ("pinned") have conditioned, non-exchangeable hit laws and
-    // are classified individually below.
-    pinned_.clear();
-    if (tracking && sketch_.size() > 0)
-      gather_pinned(tx, is_tx, half_duplex);
+    // are classified individually, block by block.
+    std::uint64_t pinned_nontx = 0, pinned_tx = 0;
+    pinned_events_.clear();
+    if (pinning) {
+      phase_ = {tx, &is_tx, half_duplex, churn_key_.fork(round_), {}};
+      for (std::uint64_t m = 0; m < kProbsMemo && m <= k; ++m)
+        phase_.probs[m] = sampler_.outcome_probs_for(k - m);
+      detail::run_chunked(pool_, sketch_.size(),
+                          [this](std::uint64_t b) { resolve_block(b); });
+      for (const SketchBlock& blk : sketch_) {
+        pinned_nontx += blk.nontx;
+        pinned_tx += blk.tx;
+        pinned_events_.insert(pinned_events_.end(), blk.events.begin(),
+                              blk.events.end());
+      }
+    }
 
     const auto record = [&](NodeId sender, NodeId listener) {
-      if (tracking) sketch_.insert(sender, listener, round_);
+      if (tracking) insert(sender, listener);
     };
     const auto skip = [&](NodeId v) {
       return (tracking && marks_[v] != 0) ||
              (failed_count_ > 0 && failed_[v] != 0);
     };
-
-    std::uint64_t pinned_nontx = 0, pinned_tx = 0;
-    pinned_events_.clear();
-    classify_pinned(tx, is_tx, half_duplex, &pinned_nontx, &pinned_tx,
-                    record);
 
     if (sampling) {
       const std::uint64_t live = sampler_.n() - failed_count_;
@@ -404,56 +270,73 @@ class ImplicitDynamicGnpTopology {
       for (const PinnedEvent& e : pinned_events_) emit(e, sink);
     }
 
-    if (tracking)
-      for (const PinnedTouch& t : pinned_) marks_[t.listener] = 0;
+    if (pinning)
+      for (std::uint64_t b = 0; b < sketch_.size(); ++b)
+        for (const PinnedTouch& t : sketch_[b].touches)
+          marks_[b * detail::kShardBlockSize + t.offset()] = 0;
   }
 
  private:
+  /// A sketched pair resolved this round: the listener's offset in its
+  /// block (< 2^16), the sender and the resolved state, packed into 8 B.
   struct PinnedTouch {
-    NodeId listener;
-    NodeId sender;
-    bool present;
+    std::uint64_t key = 0;
+
+    PinnedTouch() = default;
+    PinnedTouch(NodeId offset, NodeId sender, bool present)
+        : key(std::uint64_t{offset} << 33 | std::uint64_t{sender} << 1 |
+              std::uint64_t{present}) {}
+    [[nodiscard]] NodeId offset() const {
+      return static_cast<NodeId>(key >> 33);
+    }
+    [[nodiscard]] NodeId sender() const {
+      return static_cast<NodeId>(key >> 1);
+    }
+    [[nodiscard]] bool present() const { return (key & 1) != 0; }
   };
   struct PinnedEvent {
     NodeId listener;
     NodeId sender;  // meaningful only for deliveries
     bool is_delivery;
   };
-
-  /// Fixed chunk width of both sharded sketch phases (senders for gather,
-  /// pinned-listener groups for classify). Part of the randomness
-  /// contract: chunk c of a phase owns its (round, chunk)-keyed stream, so
-  /// the decomposition must never depend on thread count — the serial
-  /// schedule walks the same chunks inline.
-  static constexpr std::uint64_t kSketchChunkSize = 1024;
-
-  /// Reserved fork counter separating the classify phase's chunk streams
-  /// from the gather phase's within a round's churn key. Chunk counters
-  /// stay below 2^32, so the two families can never collide.
-  static constexpr std::uint64_t kClassifyLane = 0x1'0000'0001ull;
-
-  /// One chunk's private scratch for the sharded sketch phases, reused
-  /// across rounds (cleared, never shrunk) so steady-state rounds allocate
-  /// nothing — pinned by tests/sim/shard_scratch_test.cpp.
-  struct SketchShard {
-    std::vector<PinnedTouch> pinned;   ///< gather: touches in walk order
-    std::vector<std::uint32_t> freed;  ///< gather: deferred free-list pushes
-    std::vector<NodeId> emptied;       ///< gather: deferred head erasures
-    std::vector<PinnedEvent> events;   ///< classify: events in group order
-    std::vector<std::pair<NodeId, NodeId>> records;  ///< classify: (sender, listener)
-    std::uint64_t nontx = 0;  ///< classify: non-transmitting pinned groups
-    std::uint64_t tx = 0;     ///< classify: transmitting pinned groups
+  /// A sketched pair: `sender`'s link to `listener` was last resolved
+  /// present in `round`.
+  struct SketchEntry {
+    NodeId listener = 0;
+    NodeId sender = 0;
+    std::uint32_t round = 0;
   };
 
-  /// The current phase's shared inputs, stashed so the pool fan-out lambda
-  /// captures only `this` (see gather_chunk). Valid for the duration of
-  /// one gather_pinned / classify_pinned call.
+  /// One listener block's slice of the pair sketch — the present pairs
+  /// whose listener lies in the block, in insertion order, at most `cap` of
+  /// them — plus the block's per-round scratch. Vectors are cleared, never
+  /// shrunk, so steady-state rounds allocate nothing (pinned by
+  /// tests/sim/shard_scratch_test.cpp).
+  struct SketchBlock {
+    std::vector<SketchEntry> entries;
+    std::size_t cap = 0;               ///< this block's share of the capacity
+    std::vector<PinnedTouch> touches;  ///< this round's resolved pairs
+    std::vector<PinnedTouch> sort_scratch;  ///< radix-sort buffer
+    std::vector<PinnedEvent> events;   ///< classify output, ascending listener
+    std::uint64_t nontx = 0;  ///< non-transmitting pinned listeners
+    std::uint64_t tx = 0;     ///< transmitting pinned listeners
+  };
+
+  /// Outcome laws precomputed per round for pinned listeners with fewer
+  /// than this many excluded transmitters (resolved pairs plus, under full
+  /// duplex, the listener itself) — nearly all of them.
+  static constexpr std::uint64_t kProbsMemo = 8;
+
+  /// The sketch pass's shared inputs, stashed so the pool fan-out lambda
+  /// captures only `this` (std::function inline storage — no per-round
+  /// allocation). Valid for the duration of one deliver call.
   struct SketchPhase {
     std::span<const NodeId> tx;
     const std::vector<char>* is_tx = nullptr;
     bool half_duplex = false;
-    StreamKey gather_key;    ///< churn_key_.fork(round)
-    StreamKey classify_key;  ///< churn_key_.fork(round).fork(kClassifyLane)
+    StreamKey key;  ///< churn_key_.fork(round)
+    /// probs[m]: the outcome law over k - m eligible transmitters.
+    std::array<detail::GnpSampler::OutcomeProbs, kProbsMemo> probs;
   };
 
   template <class Sink>
@@ -494,216 +377,143 @@ class ImplicitDynamicGnpTopology {
     void collide_bulk(std::uint64_t count) { inner.collide_bulk(count); }
   };
 
-  /// Walks the sketch lists of this round's transmitters — sharded per
-  /// fixed-width sender chunk under the per-chunk merge contract
-  /// (sim/sharding.hpp) — and resolves each touched pair's persistence:
-  /// the recorded present state survives with probability (1-churn)^age
-  /// (no re-sample hit it — memoryless, so the entry's clock restarts at
-  /// this round), otherwise the pair re-draws fresh Bernoulli(p). Negative
+  /// The record hook: a flat append to the listener's block. A full block
+  /// forgets the resolution (modelled fallback); the entry list grows
+  /// geometrically but never past the block's share of the capacity.
+  void insert(NodeId sender, NodeId listener) {
+    SketchBlock& blk = sketch_[listener / detail::kShardBlockSize];
+    std::vector<SketchEntry>& entries = blk.entries;
+    if (entries.size() >= blk.cap) return;
+    if (entries.size() == entries.capacity())
+      entries.reserve(std::min(blk.cap, 2 * entries.size() + 64));
+    entries.push_back({listener, sender, round_});
+  }
+
+  /// Block b's sketch pass, on its own (round, block)-keyed stream. It
+  /// streams the block's entries once, compacting survivors in place:
+  /// entries older than the horizon are recycled; a pair whose sender
+  /// transmits and whose listener can hear resolves its persistence — the
+  /// recorded present state survives with probability (1-churn)^age (no
+  /// re-sample hit it — memoryless, so the entry's clock restarts at this
+  /// round), otherwise the pair re-draws fresh Bernoulli(p), and negative
   /// outcomes drop the entry (absence is not stored — the modelled
   /// fallback). Pairs whose listener cannot hear this round (failed, or
-  /// transmitting under half-duplex) are left untouched: their state is
-  /// unobservable, so it just keeps ageing. Chunk c draws from
-  /// churn_key.fork(round).fork(c); chunk walks touch disjoint sketch
-  /// chains, and the deferred frees / head erasures commit serially in
-  /// ascending chunk order, so the sketch ends the phase in the exact
-  /// state the serial chunk walk leaves it in.
-  void gather_pinned(std::span<const NodeId> tx,
-                     const std::vector<char>& is_tx, bool half_duplex) {
-    const std::uint64_t chunks =
-        detail::block_count(tx.size(), kSketchChunkSize);
-    if (shards_.size() < chunks) shards_.resize(chunks);
-    sketch_phase_.tx = tx;
-    sketch_phase_.is_tx = &is_tx;
-    sketch_phase_.half_duplex = half_duplex;
-    sketch_phase_.gather_key = churn_key_.fork(round_);
-    detail::run_chunked(pool_, chunks,
-                        [this](std::uint64_t c) { gather_chunk(c); });
-    for (std::uint64_t c = 0; c < chunks; ++c) {
-      const SketchShard& shard = shards_[c];
-      pinned_.insert(pinned_.end(), shard.pinned.begin(), shard.pinned.end());
-      sketch_.commit_deferred(shard.freed, shard.emptied);
+  /// transmitting under half-duplex) keep ageing unobserved. The resolved
+  /// pairs are then sorted by listener and each pinned listener classified:
+  /// total hits = resolved sketch hits + Binomial(k_unknown, p) over its
+  /// untracked pairs, collapsed to the silent / single / collided classes
+  /// the engine distinguishes. Everything the pass writes — the block's
+  /// entries, scratch, and its listeners' marks — belongs to the block.
+  void resolve_block(std::uint64_t b) {
+    SketchBlock& blk = sketch_[b];
+    blk.touches.clear();
+    blk.events.clear();
+    blk.nontx = 0;
+    blk.tx = 0;
+    if (blk.entries.empty()) return;
+    Rng rng = phase_.key.fork(b).make_rng();
+    const auto lo = static_cast<NodeId>(b * detail::kShardBlockSize);
+    const std::vector<char>& is_tx = *phase_.is_tx;
+    const bool failures = failed_count_ > 0;
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < blk.entries.size(); ++i) {
+      SketchEntry e = blk.entries[i];
+      const std::uint64_t age = round_ - e.round;
+      if (age > horizon_) continue;  // numerically fresh again
+      const NodeId w = e.listener;
+      if (is_tx[e.sender] && !(failures && (failed_[e.sender] || failed_[w])) &&
+          !(phase_.half_duplex && is_tx[w])) {
+        bool present = true;
+        if (age > 0) {
+          const double survive =
+              std::exp(static_cast<double>(age) * log1m_churn_);
+          if (rng.next_double() >= survive)
+            present = rng.bernoulli(sampler_.p());
+        }
+        blk.touches.emplace_back(w - lo, e.sender, present);
+        if (!present) continue;
+        e.round = round_;
+      }
+      blk.entries[kept++] = e;
     }
-    // Stable sort by listener via an index tie-break and reused member
-    // scratch — std::stable_sort would heap-allocate its merge buffer
-    // every round (tests/sim/shard_scratch_test.cpp pins steady-state
-    // rounds allocation-free).
-    const auto count = static_cast<std::uint32_t>(pinned_.size());
-    pinned_order_.resize(count);
-    for (std::uint32_t i = 0; i < count; ++i) pinned_order_[i] = i;
-    std::sort(pinned_order_.begin(), pinned_order_.end(),
-              [this](std::uint32_t a, std::uint32_t b) {
-                return pinned_[a].listener != pinned_[b].listener
-                           ? pinned_[a].listener < pinned_[b].listener
-                           : a < b;
-              });
-    pinned_scratch_.resize(count);
-    for (std::uint32_t i = 0; i < count; ++i)
-      pinned_scratch_[i] = pinned_[pinned_order_[i]];
-    pinned_.swap(pinned_scratch_);
-    for (const PinnedTouch& t : pinned_) marks_[t.listener] = 1;
-  }
+    blk.entries.resize(kept);
+    sort_by_offset(blk.touches, blk.sort_scratch);
 
-  /// One gather chunk: walks the sketch chains of senders
-  /// tx[c·chunk, (c+1)·chunk) with the chunk's keyed stream, accumulating
-  /// pinned touches, freed entry indices and emptied heads in the chunk's
-  /// private scratch. Kept out-of-line so the pool fan-out lambda captures
-  /// only `this` (std::function inline storage — no per-round allocation).
-  void gather_chunk(std::uint64_t c) {
-    SketchShard& shard = shards_[c];
-    shard.pinned.clear();
-    shard.freed.clear();
-    shard.emptied.clear();
-    Rng rng = sketch_phase_.gather_key.fork(c).make_rng();
-    const std::span<const NodeId> tx = sketch_phase_.tx;
-    const std::vector<char>& is_tx = *sketch_phase_.is_tx;
-    const bool half_duplex = sketch_phase_.half_duplex;
-    const std::uint64_t lo = c * kSketchChunkSize;
-    const std::uint64_t hi =
-        std::min<std::uint64_t>(tx.size(), lo + kSketchChunkSize);
-    for (std::uint64_t s = lo; s < hi; ++s) {
-      const NodeId t = tx[s];
-      sketch_.visit_deferred(
-          t,
-          [&](NodeId w, std::uint32_t& entry_round) {
-            const std::uint64_t age = round_ - entry_round;
-            if (age > horizon_) return false;  // numerically fresh again
-            if (failed_count_ > 0 && failed_[w] != 0) return true;
-            if (half_duplex && is_tx[w]) return true;
-            bool present = true;
-            if (age > 0) {
-              const double survive =
-                  std::exp(static_cast<double>(age) * log1m_churn_);
-              if (rng.next_double() >= survive)
-                present = rng.bernoulli(sampler_.p());
-            }
-            if (present) entry_round = round_;
-            shard.pinned.push_back({w, t, present});
-            return present;
-          },
-          shard.freed, shard.emptied);
-    }
-  }
-
-  /// Classifies each pinned listener: total hits = resolved sketch hits +
-  /// Binomial(k_unknown, p) over its untracked pairs, collapsed to the
-  /// silent / single / collided classes the engine distinguishes. Sharded
-  /// per pinned-listener-group chunk: groups are independent given the
-  /// gathered pinned set (classification reads pinned_ and tx only), chunk
-  /// c draws from the reserved classify lane's fork(c), and the per-chunk
-  /// event buffers and sketch records merge serially in ascending chunk —
-  /// i.e. listener — order, so pinned_events_ ends the phase in ascending
-  /// listener order and the sketch sees insertions in the order the serial
-  /// chunk walk produces.
-  template <class Record>
-  void classify_pinned(std::span<const NodeId> tx,
-                       const std::vector<char>& is_tx, bool half_duplex,
-                       std::uint64_t* pinned_nontx, std::uint64_t* pinned_tx,
-                       Record&& record) {
-    group_starts_.clear();
-    for (std::size_t i = 0; i < pinned_.size(); ++i)
-      if (i == 0 || pinned_[i].listener != pinned_[i - 1].listener)
-        group_starts_.push_back(i);
-    const std::uint64_t groups = group_starts_.size();
-    if (groups == 0) return;
-    group_starts_.push_back(pinned_.size());  // end sentinel
-    const std::uint64_t chunks = detail::block_count(groups, kSketchChunkSize);
-    if (shards_.size() < chunks) shards_.resize(chunks);
-    sketch_phase_.tx = tx;
-    sketch_phase_.is_tx = &is_tx;
-    sketch_phase_.half_duplex = half_duplex;
-    sketch_phase_.classify_key = churn_key_.fork(round_).fork(kClassifyLane);
-    detail::run_chunked(pool_, chunks,
-                        [this](std::uint64_t c) { classify_chunk(c); });
-    for (std::uint64_t c = 0; c < chunks; ++c) {
-      const SketchShard& shard = shards_[c];
-      *pinned_nontx += shard.nontx;
-      *pinned_tx += shard.tx;
-      for (const auto& [sender, listener] : shard.records)
-        record(sender, listener);
-      pinned_events_.insert(pinned_events_.end(), shard.events.begin(),
-                            shard.events.end());
-    }
-  }
-
-  /// One classify chunk: groups [c·chunk, (c+1)·chunk) of the sorted
-  /// pinned set, drawn from the chunk's keyed stream into private event /
-  /// record scratch. Out-of-line for the same [this]-only capture reason
-  /// as gather_chunk.
-  void classify_chunk(std::uint64_t c) {
-    SketchShard& shard = shards_[c];
-    shard.events.clear();
-    shard.records.clear();
-    shard.nontx = 0;
-    shard.tx = 0;
-    Rng rng = sketch_phase_.classify_key.fork(c).make_rng();
-    const std::span<const NodeId> tx = sketch_phase_.tx;
-    const std::vector<char>& is_tx = *sketch_phase_.is_tx;
-    const bool half_duplex = sketch_phase_.half_duplex;
+    const std::span<const NodeId> tx = phase_.tx;
     const std::uint64_t k = tx.size();
-    const std::uint64_t groups = group_starts_.size() - 1;
-    const std::uint64_t glo = c * kSketchChunkSize;
-    const std::uint64_t ghi =
-        std::min<std::uint64_t>(groups, glo + kSketchChunkSize);
-    for (std::uint64_t g = glo; g < ghi; ++g) {
-      const std::size_t i = group_starts_[g];
-      const std::size_t j = group_starts_[g + 1];
+    for (std::size_t i = 0, j = 0; i < blk.touches.size(); i = j) {
+      const NodeId offset = blk.touches[i].offset();
+      const NodeId w = lo + offset;
       std::uint32_t hits_known = 0;
       NodeId stored_sender = 0;
-      const NodeId w = pinned_[i].listener;
-      for (std::size_t s = i; s < j; ++s) {
-        if (pinned_[s].present) {
+      for (j = i; j < blk.touches.size() && blk.touches[j].offset() == offset;
+           ++j) {
+        if (blk.touches[j].present()) {
           ++hits_known;
-          stored_sender = pinned_[s].sender;
+          stored_sender = blk.touches[j].sender();
         }
       }
-      const std::uint64_t cnt_known = j - i;
+      marks_[w] = 1;
       const bool wtx = is_tx[w] != 0;
-      ++(wtx ? shard.tx : shard.nontx);
-      const std::uint64_t eligible =
-          k - cnt_known - (wtx && !half_duplex ? 1u : 0u);
+      ++(wtx ? blk.tx : blk.nontx);
+      const std::uint64_t excluded =
+          (j - i) + (wtx && !phase_.half_duplex ? 1u : 0u);
       if (hits_known >= 2) {
-        shard.events.push_back({w, 0, false});
-      } else {
-        const auto probs = sampler_.outcome_probs_for(eligible);
-        const double u = rng.next_double();
-        if (hits_known == 1) {
-          // One tracked hit: collision iff any untracked pair also hits.
-          if (u < probs.silent)
-            shard.events.push_back({w, stored_sender, true});
-          else
-            shard.events.push_back({w, 0, false});
-        } else if (u >= probs.silent) {
-          if (u < probs.silent + probs.single) {
-            const NodeId sender = pick_unknown_sender(rng, tx, w, wtx, i, j);
-            shard.records.emplace_back(sender, w);
-            shard.events.push_back({w, sender, true});
-          } else {
-            shard.events.push_back({w, 0, false});
-          }
+        blk.events.push_back({w, 0, false});
+        continue;
+      }
+      const auto probs = excluded < kProbsMemo
+                             ? phase_.probs[excluded]
+                             : sampler_.outcome_probs_for(k - excluded);
+      const double u = rng.next_double();
+      if (hits_known == 1) {
+        // One tracked hit: collision iff any untracked pair also hits.
+        blk.events.push_back({w, stored_sender, u < probs.silent});
+      } else if (u >= probs.silent) {
+        if (u < probs.silent + probs.single) {
+          const NodeId sender = pick_unknown_sender(
+              rng, tx, w, wtx, {blk.touches.data() + i, j - i});
+          insert(sender, w);
+          blk.events.push_back({w, sender, true});
+        } else {
+          blk.events.push_back({w, 0, false});
         }
       }
+    }
+  }
+
+  /// Stable LSD radix sort of a block's touches by listener offset (two
+  /// 8-bit passes): equal listeners keep their scan order, so the result
+  /// is a pure function of the block's entries.
+  static void sort_by_offset(std::vector<PinnedTouch>& touches,
+                             std::vector<PinnedTouch>& scratch) {
+    scratch.resize(touches.size());
+    for (const unsigned shift : {33u, 41u}) {
+      std::array<std::uint32_t, 257> start{};
+      for (const PinnedTouch& t : touches) ++start[(t.key >> shift & 255) + 1];
+      for (std::size_t d = 1; d < start.size(); ++d) start[d] += start[d - 1];
+      for (const PinnedTouch& t : touches)
+        scratch[start[t.key >> shift & 255]++] = t;
+      touches.swap(scratch);
     }
   }
 
   /// Uniform draw over the transmitters whose pair to `w` is untracked
-  /// (rejecting w itself and the listeners' resolved senders — a handful
+  /// (rejecting w itself and the listener's resolved senders — a handful
   /// at most, so rejection terminates fast; probs.single > 0 guarantees
-  /// the untracked set is non-empty). Draws from the calling chunk's
+  /// the untracked set is non-empty). Draws from the calling block's
   /// stream.
-  NodeId pick_unknown_sender(Rng& rng, std::span<const NodeId> tx, NodeId w,
-                             bool wtx, std::size_t begin, std::size_t end) {
+  static NodeId pick_unknown_sender(Rng& rng, std::span<const NodeId> tx,
+                                    NodeId w, bool wtx,
+                                    std::span<const PinnedTouch> resolved) {
     for (;;) {
       const NodeId cand =
           tx[static_cast<std::size_t>(rng.uniform_below(tx.size()))];
       if (wtx && cand == w) continue;
-      bool tracked = false;
-      for (std::size_t s = begin; s < end; ++s)
-        if (pinned_[s].sender == cand) {
-          tracked = true;
-          break;
-        }
-      if (!tracked) return cand;
+      const auto is_cand = [cand](const PinnedTouch& t) {
+        return t.sender() == cand;
+      };
+      if (std::none_of(resolved.begin(), resolved.end(), is_cand)) return cand;
     }
   }
 
@@ -734,10 +544,8 @@ class ImplicitDynamicGnpTopology {
       }
       fail_counts_[b] = fresh;
     };
-    if (pool_ != nullptr && blocks > 1)
-      pool_->parallel_for_index(blocks, run_block);
-    else
-      for (std::uint64_t b = 0; b < blocks; ++b) run_block(b);
+    detail::run_chunked(pool_, blocks,
+                        [&run_block](std::uint64_t b) { run_block(b); });
     for (const NodeId fresh : fail_counts_) failed_count_ += fresh;
   }
 
@@ -745,7 +553,7 @@ class ImplicitDynamicGnpTopology {
   double churn_;
   double fail_prob_;
   std::function<double(std::uint32_t)> p_of_round_;
-  StreamKey churn_key_;  ///< per-(round, chunk) sketch stream root
+  StreamKey churn_key_;  ///< per-(round, block) sketch stream root
   StreamKey fail_key_;   ///< per-(round, block) failure stream root
   ThreadPool* pool_ = nullptr;
   std::vector<NodeId> fail_counts_;  ///< per-block new failures, merged serially
@@ -753,21 +561,14 @@ class ImplicitDynamicGnpTopology {
   double inv_log1m_fail_ = 0.0;
   std::uint64_t horizon_ = 0;
   std::uint32_t round_ = 0;
-  std::uint32_t last_sweep_round_ = 0;
-  std::size_t sketch_watermark_ = 0;
 
-  detail::PairSketch sketch_;
-  std::vector<char> marks_;
+  std::vector<SketchBlock> sketch_;  ///< one slice per listener block
+  std::vector<char> marks_;          ///< pinned listeners of the round
   std::vector<char> failed_;
   NodeId failed_count_ = 0;
   std::vector<NodeId> live_tx_;
-  std::vector<PinnedTouch> pinned_;
-  std::vector<PinnedEvent> pinned_events_;
-  std::vector<SketchShard> shards_;       ///< per-chunk scratch, reused
-  std::vector<std::uint32_t> pinned_order_;   ///< gather sort scratch
-  std::vector<PinnedTouch> pinned_scratch_;   ///< gather sort scratch
-  std::vector<std::size_t> group_starts_; ///< pinned group offsets + sentinel
-  SketchPhase sketch_phase_;              ///< current phase inputs
+  std::vector<PinnedEvent> pinned_events_;  ///< all blocks', ascending listener
+  SketchPhase phase_;                       ///< current sketch pass inputs
 };
 
 }  // namespace radnet::sim

@@ -57,8 +57,8 @@ struct RunOptions {
   /// Ignored by the implicit backend.
   DeliveryPath delivery_path = DeliveryPath::kAuto;
   /// Within-trial parallelism for the backends' sharded round phases —
-  /// the listener-block sweeps, the dynamic backend's sender-/group-
-  /// chunked sketch phases and the RGG transmitter-chunked bucketing:
+  /// the listener-block sweeps, the dynamic backend's per-listener-block
+  /// sketch pass and the RGG transmitter-chunked bucketing:
   /// 1 (default) = serial, 0 = every core (the shared global_pool(), sized
   /// by RADNET_THREADS when set), k > 1 = exactly k pool threads. Purely a
   /// scheduling knob — sampling backends counter-key every RNG draw by

@@ -44,21 +44,20 @@
 //     exactly as a serial sweep would have delivered them. Bulk counts
 //     are order-free by definition and flush once per block.
 //
-// Per-chunk merge contract (the generalisation the non-listener phases
-// use): a phase whose natural work unit is not a listener block — the
-// dynamic backend's sketch phases decompose per *sender* chunk (gather)
-// and per pinned-listener-*group* chunk (classify), the RGG bucketing per
-// *transmitter* chunk — shards into fixed-width chunks, gives each chunk
-// either its own (round, chunk)-keyed stream (sketch phases) or no RNG at
-// all (bucketing), accumulates all shared-state effects in per-chunk
-// scratch, and commits them in one serial merge in ascending chunk order.
-// Because chunks cover the input in order, the merged effect sequence —
-// sketch frees and inserts, pinned events, per-cell bucket segments — is
-// exactly what a serial walk of the same chunks produces, so output stays
-// bit-identical at any thread count; where a phase draws no RNG (the
-// bucketing counting sort) it is additionally chunk-*granularity*
-// independent, which the bucketing oracle test exercises. run_chunked()
-// below is the shared fan-out.
+// Per-chunk merge contract (the generalisation for phases whose natural
+// work unit is not a listener block — today the RGG bucketing, per
+// *transmitter* chunk): the phase shards into fixed-width chunks, draws no
+// RNG (or a (round, chunk)-keyed stream), accumulates all shared-state
+// effects in per-chunk scratch, and commits them in one serial merge in
+// ascending chunk order. Because chunks cover the input in order, the
+// merged effect sequence — per-cell bucket segments — is exactly what a
+// serial walk of the same chunks produces, so output stays bit-identical
+// at any thread count; an RNG-free phase like the bucketing counting sort
+// is additionally chunk-*granularity* independent, which the bucketing
+// oracle test exercises. The dynamic backend's pair sketch needs no such
+// contract: it is partitioned by the listener blocks themselves, so its
+// per-round pass is one more block-keyed phase whose outputs concatenate
+// in block order. run_chunked() below is the shared fan-out of both kinds.
 //
 // Bulk ledger accounting: two classes of per-listener events can collapse
 // into exact per-block *counts* instead of buffered events, shrinking the

@@ -12,9 +12,10 @@
 // These tests assert each claim at its proper strength: two-sample KS and
 // chi-square checks (tests/sim/statistical_oracle.hpp) on completion
 // round, total transmissions and the energy ledger for the exact regimes,
-// a KS-plus-mean band for the modelled one, and a direct persistence probe
-// of the pair sketch. All seeds are fixed; RADNET_STAT_TRIALS scales the
-// resolution (ctest label: tier1_stat).
+// a KS-plus-mean band for the modelled one, a direct persistence probe of
+// the pair sketch and a closed-form check of its churn persistence law.
+// All seeds are fixed; RADNET_STAT_TRIALS scales the resolution (ctest
+// label: tier1_stat).
 #include <cmath>
 #include <memory>
 
@@ -281,6 +282,68 @@ TEST(DynamicSketch, PersistentPairsRepeatDeliveries) {
   };
   EXPECT_GT(repeat_rate(0.01), 0.9);
   EXPECT_LT(repeat_rate(1.0), 0.7);
+}
+
+// Closed-form oracle for the churn persistence law of ChurnGnp: a pair seen
+// present at round 0 and re-examined g rounds later is present with
+// probability P = (1-c)^g + (1 - (1-c)^g)·p — it survives un-resampled with
+// probability (1-c)^g and is a fresh Bernoulli(p) otherwise. A lone
+// scripted sender (k = 1, so every hit is a clean delivery that identifies
+// its pair) transmits at rounds 0 and g; among the listeners it reached at
+// round 0, the share it reaches again at round g must match P within a
+// binomial z-bound, pooled over seeds. n spans two listener blocks and the
+// second block's listeners are tested on their own, so a non-first block's
+// keyed sketch stream is checked against the law too.
+TEST(DynamicSketch, PersistenceMatchesChurnLaw) {
+  constexpr graph::NodeId kBlock = 1u << 16;
+  const graph::NodeId n = kBlock + 4096;
+  const double p = 0.05;
+  const std::uint32_t seeds = stat_trials(16);
+  struct Case {
+    double churn;
+    Round gap;
+  };
+  for (const Case c :
+       {Case{0.5, 1}, Case{0.9, 2}, Case{0.2, 3}, Case{0.05, 8}}) {
+    const double keep = std::pow(1.0 - c.churn, static_cast<double>(c.gap));
+    const double expected = keep + (1.0 - keep) * p;
+    std::uint64_t first[2] = {0, 0};  // listeners reached at round 0, per block
+    std::uint64_t again[2] = {0, 0};  // ... and again at round gap
+    for (std::uint32_t s = 0; s < seeds; ++s) {
+      ImplicitDynamicGnp spec;
+      spec.n = n;
+      spec.p = p;
+      spec.churn = c.churn;
+      spec.rng = Rng(0x9E55 + s);
+      std::vector<std::vector<graph::NodeId>> script(c.gap + 1);
+      script.front() = {0};
+      script.back() = {0};
+      testing::ScriptedProtocol proto(std::move(script));
+      Engine engine;
+      RunOptions options;
+      options.max_rounds = c.gap + 1;
+      (void)engine.run(spec, proto, Rng(s), options);
+      std::vector<char> reached(n, 0);
+      for (const auto& d : proto.deliveries) {
+        if (d.round == 0) {
+          reached[d.receiver] = 1;
+          ++first[d.receiver / kBlock];
+        } else if (d.round == c.gap && reached[d.receiver] != 0) {
+          ++again[d.receiver / kBlock];
+        }
+      }
+    }
+    for (int block = 0; block < 2; ++block) {
+      ASSERT_GT(first[block], 0u) << "block " << block << " saw no delivery";
+      const double trials = static_cast<double>(first[block]);
+      const double z = (static_cast<double>(again[block]) - trials * expected) /
+                       std::sqrt(trials * expected * (1.0 - expected));
+      EXPECT_LT(std::abs(z), 4.0)
+          << "churn " << c.churn << ", gap " << c.gap << ", block " << block
+          << ": " << again[block] << " of " << first[block]
+          << " re-delivered, expected P = " << expected;
+    }
+  }
 }
 
 // Node failures: a dead radio neither delivers nor hears. At fail_prob

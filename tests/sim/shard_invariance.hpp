@@ -1,8 +1,8 @@
 // Reusable shard-invariance property harness.
 //
 // Every backend family decomposes its per-round work — listener-block
-// sweeps, the dynamic backend's sender-/group-chunked sketch phases, the
-// RGG transmitter-chunked bucketing — under the keying and merge contracts
+// sweeps, the dynamic backend's per-listener-block sketch pass, the RGG
+// transmitter-chunked bucketing — under the keying and merge contracts
 // of sim/sharding.hpp, which promise one observable: a run's trace, ledger
 // and RunResult are *byte-identical* no matter how the work is scheduled.
 // This header is that promise as a property check, shared by every test

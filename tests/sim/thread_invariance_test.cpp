@@ -9,11 +9,11 @@
 // in shard_invariance.hpp ({1, 2, 8, 0} threads, optionally × the SIMD
 // dispatch modes, against the scalar serial baseline): the implicit static
 // backend, the implicit dynamic backend at churn 1.0 and 0.5 (the
-// sender-chunked gather and group-chunked classify sketch phases plus the
-// sweep's record/merge path), a failure-injection run (the block-sharded
-// failure sweep), the dedicated phase matrices for the sharded sketch
-// phases (churn + failures + ramping transmitter counts, so gather spans
-// many sender chunks) and the RGG transmitter bucketing (dense cells,
+// per-listener-block sketch pass plus the sweep's record/merge path), a
+// failure-injection run (the block-sharded failure sweep), the dedicated
+// phase matrices for the sketch pass (churn + failures + ramping
+// transmitter counts over three listener blocks, the last one partial)
+// and the RGG transmitter bucketing (dense cells,
 // ramping k), the implicit mobility-RGG backend (counter-keyed motion
 // sweep + RNG-free cell-grid delivery, with and without the attentive bulk
 // fold), and the explicit CSR family: all three delivery paths on a static
@@ -91,9 +91,14 @@ TEST(ThreadInvariance, AttentivePathAndBulkCollisions) {
   }
 }
 
+/// Listener count of the dynamic scenarios: two full 2^16 listener blocks
+/// plus a partial third, so the sweeps and the per-block sketch pass run a
+/// genuinely parallel block schedule, including a short last block.
+constexpr graph::NodeId kDynamicN = 140'000;
+
 void expect_dynamic_invariant(double churn, double fail_prob,
                               const char* what, bool sweep_simd_modes) {
-  const graph::NodeId n = 50'000;
+  const graph::NodeId n = kDynamicN;
   const double p = 16.0 / n;
   expect_shard_invariant(
       [&](RunOptions options) {
@@ -117,14 +122,14 @@ TEST(ThreadInvariance, ImplicitDynamicChurnOne) {
 }
 
 TEST(ThreadInvariance, ImplicitDynamicChurnHalf) {
-  // churn < 1 routes deliveries through the pair sketch: the sender-chunked
-  // gather, the group-chunked classify and the sweep's buffered record
-  // merge must reproduce the serial sketch insertion order exactly, or
-  // later rounds diverge. The gossip marginal ramps transmitters to ~n, so
-  // gather spans dozens of sender chunks. SIMD modes on: the lane-batched
-  // dense classification must feed the sketch the exact same resolution
-  // sequence in every mode (acceptance matrix: churned-dynamic runs
-  // byte-identical across {1,2,8,0} threads × SIMD modes).
+  // churn < 1 routes deliveries through the pair sketch: the per-block
+  // sketch pass (compaction, persistence draws, classify) and the sweep's
+  // buffered record merge must reproduce the serial sketch contents and
+  // order exactly, or later rounds diverge. The gossip marginal ramps
+  // transmitters to ~n, so every block's slice fills. SIMD modes on: the
+  // lane-batched dense classification must feed the sketch the exact same
+  // resolution sequence in every mode (acceptance matrix: churned-dynamic
+  // runs byte-identical across {1,2,8,0} threads × SIMD modes).
   expect_dynamic_invariant(0.5, 0.0, "dynamic churn=0.5", true);
 }
 
@@ -134,13 +139,13 @@ TEST(ThreadInvariance, FailureInjection) {
 }
 
 TEST(ThreadInvariance, DynamicSketchPhaseMatrix) {
-  // The dedicated phase matrix for the sharded sketch phases: churn and
+  // The dedicated phase matrix for the per-block sketch pass: churn and
   // failures together, a deeper horizon (lower churn → older entries
-  // survive re-examination), and the gossip ramp driving both phases
-  // through 1 → many chunks as k grows. Every (mode, threads) cell must
+  // survive re-examination), and the gossip ramp filling all three
+  // listener blocks' slices as k grows. Every (mode, threads) cell must
   // byte-equal the scalar serial run — this is the matrix that catches a
-  // chunk-keying or merge-order slip in gather/classify specifically.
-  const graph::NodeId n = 60'000;
+  // block-keying or merge-order slip in the sketch pass specifically.
+  const graph::NodeId n = kDynamicN;
   const double p = 16.0 / n;
   expect_shard_invariant(
       [&](RunOptions options) {

@@ -81,12 +81,13 @@
 // benchmarks fingerprint every emitted event (order included) per mode —
 // SIMD is a dispatch choice, never an observable one. Schema v9 adds
 // "sketch_thread_scaling" and "rgg_bucketing_thread_scaling": the last two
-// per-round phases to shard — the dynamic backend's pair-sketch gather /
-// classify (per sender- and pinned-group-chunk, streams keyed per
-// (round, chunk)) and the RGG transmitter bucketing (per transmitter
-// chunk, RNG-free, cell-ordered merge) — each timed serial vs all-core on
-// a workload that phase dominates, with the same bit-identity gate:
-// divergence fails the run with a non-zero exit.
+// per-round phases to shard — the dynamic backend's pair-sketch pass (one
+// task per listener block, streams keyed per (round, block)) and the RGG
+// transmitter bucketing (per transmitter chunk, RNG-free, cell-ordered
+// merge) — each timed serial vs all-core on a workload that phase
+// dominates, with the same bit-identity gate: divergence fails the run
+// with a non-zero exit. The sketch row runs at n >= 2^18 even in --quick
+// mode: below four listener blocks its sketch pass has nothing to share.
 //
 // Flags: --quick shrinks sizes/repetitions for smoke runs; --out overrides
 // the output path (default BENCH_engine.json in the working directory).
@@ -297,11 +298,11 @@ ThreadScaling time_csr_thread_scaling(std::uint32_t n) {
   return s;
 }
 
-/// The sharded sketch phases' tracked number: one churned-dynamic gossip
+/// The sharded sketch pass's tracked number: one churned-dynamic gossip
 /// trial (churn = 0.5 routes every delivery through the pair sketch, so
-/// the sender-chunked gather and group-chunked classify phases dominate),
-/// serial vs all-core, bit-identity asserted. Chunk streams are keyed per
-/// (round, chunk), so a divergence means a keying or merge-order bug.
+/// the per-listener-block sketch pass dominates), serial vs all-core,
+/// bit-identity asserted. Block streams are keyed per (round, block), so a
+/// divergence means a keying or merge-order bug.
 ThreadScaling time_sketch_thread_scaling(std::uint32_t n) {
   ThreadScaling s;
   s.n = n;
@@ -939,13 +940,13 @@ int main(int argc, char** argv) {
   }
 
   const ThreadScaling sts =
-      time_sketch_thread_scaling(quick ? (1u << 14) : (1u << 20));
+      time_sketch_thread_scaling(quick ? (1u << 18) : (1u << 20));
   std::cout << "sketch-phase thread scaling n=" << sts.n << ": serial "
             << sts.serial_ms << " ms, " << sts.pool_threads << "-thread "
             << sts.parallel_ms << " ms, speedup " << sts.speedup << "x, "
             << (sts.identical ? "bit-identical" : "DIVERGED") << "\n";
   if (!sts.identical) {
-    std::cerr << "sketch-phase serial-vs-parallel runs diverged — chunk "
+    std::cerr << "sketch-phase serial-vs-parallel runs diverged — block "
                  "keying or merge-order bug\n";
     return 1;
   }
