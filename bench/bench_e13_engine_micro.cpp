@@ -143,8 +143,8 @@ void BM_BroadcastEndToEndImplicit(benchmark::State& state) {
 }
 BENCHMARK(BM_BroadcastEndToEndImplicit)->Arg(1 << 14)->Arg(1 << 16)->Arg(1 << 20);
 
-/// Shared shape of the two per-sweep SIMD benchmarks: Arg(0) = n, Arg(1) =
-/// dispatch mode (0 scalar, 1 SIMD — degrades to scalar without AVX2, the
+/// Shape of the per-sweep SIMD benchmark: Arg(0) = n, Arg(1) = dispatch
+/// mode (0 scalar, 1 SIMD — degrades to scalar without AVX2, the
 /// avx2_active counter records which kernels really ran). One iteration =
 /// one full round sweep; ns/sweep scalar vs SIMD is the tracked pair.
 radnet::simd::Mode arg_mode(benchmark::State& state) {
@@ -193,12 +193,11 @@ BENCHMARK(BM_DenseClassifySweep)
     ->Args({1 << 16, 0})->Args({1 << 16, 1});
 
 void BM_RggDistanceSweep(benchmark::State& state) {
-  // The RGG distance-mask listener scan at mean degree 64 with half the
-  // nodes transmitting — dense cells, so the vector distance masks (not
-  // the bucketing or motion) dominate.
+  // One implicit RGG round (motion, cell-ordered bucketing, row-range
+  // listener scan) at mean degree 64 with half the nodes transmitting —
+  // dense cells, so the distance scan dominates. Arg(0) = n.
   const auto n = static_cast<std::uint32_t>(state.range(0));
   const double radius = std::sqrt(64.0 / (3.141592653589793 * n));
-  radnet::simd::set_mode(arg_mode(state));
   radnet::sim::ImplicitRggTopology topo(
       radnet::sim::ImplicitRgg{n, radius, radius / 8.0, Rng(92)});
   std::vector<radnet::graph::NodeId> tx;
@@ -218,12 +217,8 @@ void BM_RggDistanceSweep(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * n);
   state.counters["nodes"] = n;
-  state.counters["avx2_active"] =
-      radnet::simd::active_mode() == radnet::simd::Mode::kAvx2 ? 1 : 0;
 }
-BENCHMARK(BM_RggDistanceSweep)
-    ->Args({1 << 14, 0})->Args({1 << 14, 1})
-    ->Args({1 << 16, 0})->Args({1 << 16, 1});
+BENCHMARK(BM_RggDistanceSweep)->Arg(1 << 14)->Arg(1 << 16);
 
 void BM_GnpGeneration(benchmark::State& state) {
   const auto n = static_cast<std::uint32_t>(state.range(0));

@@ -85,9 +85,10 @@ radnet::sim::RunResult run_once_sketch(std::uint32_t n, unsigned threads,
   return engine.run(spec, proto, Rng(seed + 1), options);
 }
 
-// A mobility-RGG broadcast trial: per round the transmitter bucketing (the
-// chunk-sharded counting sort + 3x3 stamp) and the cell-grid sweep are the
-// work this row prices.
+// A mobility-RGG gossip trial: per round the motion step, the cell-ordered
+// transmitter bucketing (parallel cell map and gather around one serial
+// counting sort) and the row-range listener sweep are the work this row
+// prices.
 radnet::sim::RunResult run_once_rgg(std::uint32_t n, unsigned threads,
                                     std::uint64_t seed) {
   radnet::sim::Engine engine;
@@ -293,11 +294,11 @@ int main(int argc, char** argv) {
   std::cout << "\nbest sketch speedup: " << sketch_best << "x on " << hw
             << " hardware threads\n";
 
-  // --- sharded RGG bucketing: mobility rows ----------------------------
-  const auto n_rgg = static_cast<std::uint32_t>(env.scaled(1u << 21, 1u << 12));
-  std::cout << "\nRGG bucketing: n = " << n_rgg
-            << ", r = sqrt(16/(pi n)), step = r/8 (chunk-sharded counting "
-            << "sort + 3x3 stamp feed the cell-grid sweep)\n\n";
+  // --- implicit RGG rounds: mobility rows -------------------------------
+  const auto n_rgg = static_cast<std::uint32_t>(env.scaled(1u << 21, 1u << 18));
+  std::cout << "\nRGG rounds: n = " << n_rgg
+            << ", r = sqrt(16/(pi n)), step = r/8 (motion, cell-ordered "
+            << "bucketing and the row-range listener sweep)\n\n";
   const double g0 = now_ms();
   const auto rgg_serial = run_once_rgg(n_rgg, 1, env.seed);
   const double rgg_serial_ms = now_ms() - g0;
@@ -330,7 +331,7 @@ int main(int argc, char** argv) {
   }
   radnet::harness::emit_table(env, "e17", "thread_scaling_rgg", gt);
   if (!rgg_identical) {
-    std::cout << "\nFAILED: RGG bucketing results diverged across thread "
+    std::cout << "\nFAILED: RGG round results diverged across thread "
                  "counts\n";
     return 1;
   }

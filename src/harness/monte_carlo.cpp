@@ -127,7 +127,7 @@ void run_monte_carlo_range(const McSpec& spec, std::uint32_t first,
   // serially. With fewer trials than threads (the huge-trial regime),
   // trials run sequentially on the calling thread and each trial fans its
   // sharded round phases — listener-block sweeps, the dynamic sketch's
-  // per-block pass, the RGG bucketing chunks — out over the whole
+  // per-block pass, the RGG bucketing's map chunks — out over the whole
   // pool instead. The sampled
   // backends always shard their sweeps, so any under-subscribed trial
   // count prefers round-parallelism; explicit-CSR rounds below the work

@@ -23,17 +23,21 @@
 // Cell-grid delivery: positions bucket into a square grid of side >=
 // `radius` (cells_ per axis, capped so the grid never exceeds O(n)
 // cells). A listener's potential transmitters all lie in its own cell or
-// the 8 surrounding ones, so one round costs
+// the 8 surrounding ones. Each round lays the k transmitters out as a
+// cell-ordered CSR: cell_start_ (grid + 1 prefix offsets, row-major cell
+// order) over one AoS entry array {x, y, id}, each cell's entries in
+// transmitter-list order. Row-major cells (y, x0..x1) are contiguous in
+// that layout, so a listener's 3x3 neighbourhood is three contiguous row
+// ranges rather than nine cell segments. One round costs
 //   O(n)                 movement (2 uniforms per node)
-// + O(k + occupied·9)    bucket the k transmitters, stamp active cells
-//                        (sharded per transmitter chunk, serial merge
-//                        O(runs) — see bucket_transmitters)
-// + O(n + sum over listeners near transmitters of the <= 9 cells'
-//                        transmitter counts, early-exiting at the second
+// + O(k + cells)         cell map (parallel), one serial counting sort,
+//                        entry gather (parallel), near flags
+// + O(n + sum over listeners near transmitters of their three row
+//                        ranges' lengths, early-exiting at the second
 //                        hit — a collision needs no exact count)
 // with zero graph memory: state is 16 B per node (positions) plus O(cells)
-// grid scratch. Listeners whose 3x3 neighbourhood holds no transmitter are
-// rejected with a single stamp load.
+// grid scratch and 24 B per transmitter. Listeners whose 3x3 neighbourhood
+// holds no transmitter are rejected with a single byte load.
 //
 // StreamKey keying scheme (support/rng.hpp): the backend's root key forks
 // one lane per round — round r's movement draws come from
@@ -47,16 +51,13 @@
 // sim/sharding.hpp: blocks run in any order, buffers merge serially in
 // ascending listener order, and the engine sink observes exactly the
 // event sequence a serial sweep would have produced (the block-merge
-// ordering invariant). The transmitter bucketing is sharded too, under
-// the per-chunk merge contract: each transmitter chunk counting-sorts
-// locally, a serial cell-ordered merge lays out the shared CSR, and the
-// chunks scatter into disjoint reserved slots — RNG-free, so the bucket
-// contents the sweep sees are byte-identical at any thread count *and*
-// any chunk granularity (the bucketing oracle test sweeps both).
+// ordering invariant). The bucketing's parallel steps are pure maps (cell
+// of each transmitter, coordinates of each slot) and its one order-bearing
+// step, the counting sort, is serial, so the layout the sweep reads is
+// the same at any thread count (the bucketing oracle test checks it).
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <optional>
@@ -67,7 +68,6 @@
 #include "sim/sharding.hpp"
 #include "support/require.hpp"
 #include "support/rng.hpp"
-#include "support/simd.hpp"
 #include "support/thread_pool.hpp"
 
 namespace radnet::sim {
@@ -90,7 +90,8 @@ class ImplicitRggTopology {
  public:
   /// Listeners (and movers) per shard block. Fixed — part of the motion
   /// randomness contract: results depend on the block decomposition,
-  /// never on thread count.
+  /// never on thread count. Also the transmitters per chunk of the
+  /// bucketing's parallel maps, where the width is not observable.
   static constexpr NodeId kShardBlockSize = detail::kShardBlockSize;
 
   /// Reserved fork counter for the initial placement draws. Round
@@ -98,11 +99,14 @@ class ImplicitRggTopology {
   /// round's movement key.
   static constexpr std::uint64_t kInitLane = 0x1'0000'0003ull;
 
-  /// Default transmitter-chunk width of the sharded bucketing phase. Not
-  /// part of any randomness contract — bucketing draws no RNG and the
-  /// cell-ordered merge makes the bucket contents provably independent of
-  /// the decomposition — so it is free to change (and overridable below).
-  static constexpr NodeId kTxChunkSize = 4096;
+  /// One bucketed transmitter: its position inlined next to its id, so the
+  /// sweep reads one contiguous run per neighbourhood row instead of
+  /// random-accessing the n-sized positions array.
+  struct TxEntry {
+    double x;
+    double y;
+    NodeId id;
+  };
 
   explicit ImplicitRggTopology(const ImplicitRgg& spec)
       : n_(spec.n), radius_(spec.radius), step_(spec.step) {
@@ -123,9 +127,8 @@ class ImplicitRggTopology {
         std::max<std::uint64_t>(1, std::min(from_radius, std::max<std::uint64_t>(1, cap))));
     cell_size_ = 1.0 / static_cast<double>(cells_);
     const std::size_t grid = static_cast<std::size_t>(cells_) * cells_;
-    cell_begin_.assign(grid + 1, 0);
-    cell_fill_.assign(grid, 0);
-    near_tx_stamp_.assign(grid, 0);
+    cell_start_.assign(grid + 1, 0);
+    near_.assign(grid, 0);
     pts_.resize(n_);
     init_positions();
   }
@@ -143,38 +146,37 @@ class ImplicitRggTopology {
   /// output is bit-identical.
   void set_parallelism(ThreadPool* pool) { pool_ = pool; }
 
-  /// Forces the transmitter-chunk width of the sharded bucketing phase
-  /// (0 restores the default). A test/bench knob, never an observable
-  /// one: the bucketing oracle in
-  /// tests/sim/rgg_topology_equivalence_test.cpp sweeps granularities ×
-  /// schedules and asserts identical cell contents and stamps throughout.
-  void set_bucket_chunk(NodeId width) {
-    bucket_chunk_ = width == 0 ? kTxChunkSize : width;
-  }
-
   // --- bucketing introspection (for the oracle test and diagnostics) ----
 
-  /// Runs just the bucketing phase for the current round's positions;
-  /// callers pair it with unbucket_for_test() to restore the grid.
+  /// Runs just the bucketing phase for the current round's positions.
   void bucket_for_test(std::span<const NodeId> transmitters) {
     bucket_transmitters(transmitters);
   }
-  void unbucket_for_test() { unbucket_transmitters(); }
   [[nodiscard]] std::uint32_t grid_cells() const { return cells_; }
   [[nodiscard]] std::uint32_t cell_of(NodeId v) const {
     return cell_index(pts_[v]);
   }
-  /// Ids of the transmitters bucketed into `cell`, in segment order (the
+  /// The transmitters bucketed into `cell`, in transmitter-list order (the
   /// order the sweep enumerates hits in); empty for unoccupied cells.
-  [[nodiscard]] std::span<const NodeId> cell_entries(
+  [[nodiscard]] std::span<const TxEntry> cell_entries(
       std::uint32_t cell) const {
-    return {tx_id_.data() + cell_begin_[cell],
-            cell_fill_[cell] - cell_begin_[cell]};
+    return {entries_.data() + cell_start_[cell],
+            cell_start_[cell + 1] - cell_start_[cell]};
   }
   /// Whether the sweep would consider `cell`'s listeners at all this
   /// round (some transmitter occupies its 3x3 neighbourhood).
-  [[nodiscard]] bool cell_stamped(std::uint32_t cell) const {
-    return near_tx_stamp_[cell] == round_stamp_;
+  [[nodiscard]] bool cell_near(std::uint32_t cell) const {
+    return near_[cell] != 0;
+  }
+  /// Whether this round's sweep runs the prefetch lookahead: only when
+  /// k * 8 >= cells. Below that almost every listener is rejected by its
+  /// near flag, and the lookahead's offset prefetches cost more than the
+  /// stalls they hide. Measured at n = 2^20, degree 16, one thread: the
+  /// plain scan wins at k * 8 / cells <= 0.32 (~1.8x at k = 16), the two
+  /// are even at 0.64, and the lookahead wins from 1.29 up (~1.2x at 5
+  /// to 20).
+  [[nodiscard]] bool sweep_prefetches() const {
+    return entries_.size() * 8 >= near_.size();
   }
 
   /// Advances the motion process to round `round` (non-decreasing, the
@@ -214,13 +216,17 @@ class ImplicitRggTopology {
     };
     if (pool_ != nullptr && blocks > 1) {
       if (buffers_.size() < blocks) buffers_.resize(blocks);
-      pool_->parallel_for_index(blocks, [&](std::uint64_t b) {
+      const auto run_buffered = [&](std::uint64_t b) {
         detail::ShardBuffer& buf = buffers_[b];
         buf.clear();
         detail::BufferEmitter em{buf, /*want_records=*/false,
                                  collisions_inert, inert_deliveries};
         run_block(b, em);
-      });
+      };
+      // A single captured reference keeps the pool's std::function in its
+      // inline storage: no per-round heap allocation.
+      pool_->parallel_for_index(
+          blocks, [&run_buffered](std::uint64_t b) { run_buffered(b); });
       detail::merge_shard_buffers(
           std::span<const detail::ShardBuffer>(buffers_.data(), blocks), sink,
           detail::RecordNone{});
@@ -235,16 +241,16 @@ class ImplicitRggTopology {
     }
 
     if (attentive.has_value()) att_flags_.clear_round(*attentive);
-    unbucket_transmitters();
   }
 
  private:
+  /// Grid column (or row) of coordinate `v`.
+  [[nodiscard]] std::uint32_t cell_coord(double v) const {
+    return std::min(static_cast<std::uint32_t>(v / cell_size_), cells_ - 1);
+  }
+
   [[nodiscard]] std::uint32_t cell_index(const graph::Point& pt) const {
-    auto cx = static_cast<std::uint32_t>(pt.x / cell_size_);
-    auto cy = static_cast<std::uint32_t>(pt.y / cell_size_);
-    cx = std::min(cx, cells_ - 1);
-    cy = std::min(cy, cells_ - 1);
-    return cy * cells_ + cx;
+    return cell_coord(pt.y) * cells_ + cell_coord(pt.x);
   }
 
   /// Initial placement: uniform in the unit square, drawn per block from
@@ -298,202 +304,175 @@ class ImplicitRggTopology {
       for (std::uint64_t b = 0; b < blocks; ++b) run(b);
   }
 
-  /// Counting-sorts the round's k transmitters into the cell grid
-  /// (cell_begin_/the tx SoA arrays form a CSR over occupied cells only)
-  /// and stamps every cell whose 3x3 neighbourhood holds a transmitter, so
-  /// the sweep rejects listeners in silent neighbourhoods with one load.
-  /// Sharded per transmitter chunk under the per-chunk merge contract of
-  /// sim/sharding.hpp: each chunk sorts its transmitters by cell locally
-  /// (stable, so chunk-local order = transmitter-list order), a serial
-  /// cell-ordered merge lays out the shared CSR in O(runs), and the chunks
-  /// scatter coordinates into their reserved, disjoint slots. Chunks are
-  /// merged in ascending order, so each cell's segment concatenates the
-  /// chunks' sub-segments in transmitter-list order — the sweep's hit
-  /// enumeration is byte-identical to a serial counting sort's, at any
-  /// thread count and any chunk granularity (the phase draws no RNG).
-  /// Cost O(k + occupied·9) work; the CSR counters are restored to zero in
-  /// O(occupied) by unbucket_transmitters.
+  /// Lays the round's k transmitters out as the cell-ordered CSR the sweep
+  /// reads (file comment), in four steps:
+  ///   1. cell map (parallel, kShardBlockSize transmitters per chunk):
+  ///      tx_cell_[i] = cell of transmitter i;
+  ///   2. one serial counting sort over the whole grid: counts, inclusive
+  ///      prefix, then a reverse scatter of ids through decrementing
+  ///      cursors — stable in transmitter-list order, and each cursor ends
+  ///      on its cell's start, which leaves cell_start_ in place;
+  ///   3. entry gather (parallel): each slot's coordinates from pts_;
+  ///   4. near flags, O(cells), from the prefix array.
+  /// Steps 1 and 3 are pure maps and step 2 is serial, so the layout is
+  /// identical at any thread count. Nothing needs undoing afterwards: the
+  /// next round rebuilds every array from scratch.
   void bucket_transmitters(std::span<const NodeId> transmitters) {
-    const std::uint64_t chunks =
-        detail::block_count(transmitters.size(), bucket_chunk_);
-    if (bucket_chunks_.size() < chunks) bucket_chunks_.resize(chunks);
-    bucket_tx_ = transmitters;
-
-    // Phase 1 (parallel): chunk-local counting sort into (cell, len) runs.
-    detail::run_chunked(pool_, chunks,
-                        [this](std::uint64_t c) { bucket_sort_chunk(c); });
-
-    // Phase 2 (serial cell-ordered merge, O(runs)): accumulate per-cell
-    // counts in chunk-scan order (occupied_ = first-touch order), lay the
-    // CSR out with an exclusive scan, then hand every run its scatter
-    // slot. After this loop cell_fill_[c] is the segment *end*, the same
-    // invariant the sweep reads.
-    occupied_.clear();
-    for (std::uint64_t c = 0; c < chunks; ++c) {
-      const BucketChunk& bc = bucket_chunks_[c];
-      for (std::size_t r = 0; r < bc.run_cell.size(); ++r) {
-        const std::uint32_t cell = bc.run_cell[r];
-        if (cell_fill_[cell] == 0) occupied_.push_back(cell);
-        cell_fill_[cell] += bc.run_len[r];
-      }
-    }
-    // Coordinates are inlined (structure-of-arrays, so the distance kernel
-    // can load four x's or four y's as one vector) rather than
-    // random-accessed from the n-sized positions array.
-    std::uint32_t offset = 0;
-    for (const std::uint32_t cell : occupied_) {
-      cell_begin_[cell] = offset;
-      offset += cell_fill_[cell];
-      cell_fill_[cell] = cell_begin_[cell];
-    }
-    for (std::uint64_t c = 0; c < chunks; ++c) {
-      BucketChunk& bc = bucket_chunks_[c];
-      bc.run_slot.resize(bc.run_cell.size());
-      for (std::size_t r = 0; r < bc.run_cell.size(); ++r) {
-        bc.run_slot[r] = cell_fill_[bc.run_cell[r]];
-        cell_fill_[bc.run_cell[r]] += bc.run_len[r];
-      }
-    }
-
+    round_tx_ = transmitters;
     const std::size_t k = transmitters.size();
-    tx_x_.resize(k + simd::kRggPad);
-    tx_y_.resize(k + simd::kRggPad);
-    tx_id_.resize(k + simd::kRggPad);
-    // Version-stamp the active neighbourhoods; stamps self-invalidate next
-    // round, so nothing is ever cleared.
-    ++round_stamp_;
+    tx_cell_.resize(k);
+    entries_.resize(k);
+    const std::uint64_t chunks = detail::block_count(k, kShardBlockSize);
+    detail::run_chunked(pool_, chunks, [this](std::uint64_t c) {
+      const std::size_t lo = c * kShardBlockSize;
+      const std::size_t hi = std::min<std::size_t>(round_tx_.size(),
+                                                   lo + kShardBlockSize);
+      for (std::size_t i = lo; i < hi; ++i)
+        tx_cell_[i] = cell_index(pts_[round_tx_[i]]);
+    });
 
-    // Phase 3 (parallel): scatter into the reserved disjoint slots and
-    // stamp each run cell's 3x3 neighbourhood. A cell split across chunks
-    // is stamped more than once — every store writes the same
-    // round_stamp_ value through a relaxed atomic_ref, and the pool join
-    // orders all of them before the sweep's plain loads.
-    detail::run_chunked(pool_, chunks,
-                        [this](std::uint64_t c) { bucket_scatter_chunk(c); });
-
-    // Far-away sentinels let the vector scan load full-width chunks that
-    // overhang the final segment without reading garbage distances.
-    for (std::size_t i = k; i < k + simd::kRggPad; ++i) {
-      tx_x_[i] = 1e30;
-      tx_y_[i] = 1e30;
-      tx_id_[i] = detail::kNoSender;
+    const std::size_t grid = near_.size();
+    std::fill(cell_start_.begin(), cell_start_.end(), 0u);
+    for (const std::uint32_t cell : tx_cell_) ++cell_start_[cell];
+    std::uint32_t end = 0;
+    for (std::size_t cell = 0; cell < grid; ++cell) {
+      end += cell_start_[cell];
+      cell_start_[cell] = end;
     }
-  }
+    cell_start_[grid] = end;
+    for (std::size_t i = k; i-- > 0;)
+      entries_[--cell_start_[tx_cell_[i]]].id = transmitters[i];
 
-  /// Phase 1 of bucket_transmitters for chunk `c`: cell indices for the
-  /// chunk's transmitters, a stable local sort by cell, and the collapsed
-  /// (cell, len) run list. Out-of-line so the pool fan-out lambda captures
-  /// only `this` (std::function inline storage — no per-round allocation).
-  void bucket_sort_chunk(std::uint64_t c) {
-    BucketChunk& bc = bucket_chunks_[c];
-    const std::uint64_t lo = c * static_cast<std::uint64_t>(bucket_chunk_);
-    const std::uint64_t hi =
-        std::min<std::uint64_t>(bucket_tx_.size(), lo + bucket_chunk_);
-    const auto len = static_cast<std::uint32_t>(hi - lo);
-    bc.cell.resize(len);
-    bc.order.resize(len);
-    for (std::uint32_t i = 0; i < len; ++i) {
-      bc.cell[i] = cell_index(pts_[bucket_tx_[lo + i]]);
-      bc.order[i] = i;
-    }
-    // Index tie-break = stable order, without std::stable_sort's per-call
-    // heap-allocated merge buffer (tests/sim/shard_scratch_test.cpp pins
-    // steady-state rounds allocation-free).
-    std::sort(bc.order.begin(), bc.order.end(),
-              [&bc](std::uint32_t a, std::uint32_t b) {
-                return bc.cell[a] != bc.cell[b] ? bc.cell[a] < bc.cell[b]
-                                                : a < b;
-              });
-    bc.run_cell.clear();
-    bc.run_len.clear();
-    for (std::uint32_t i = 0; i < len; ++i) {
-      const std::uint32_t cell = bc.cell[bc.order[i]];
-      if (bc.run_cell.empty() || bc.run_cell.back() != cell) {
-        bc.run_cell.push_back(cell);
-        bc.run_len.push_back(0);
+    detail::run_chunked(pool_, chunks, [this](std::uint64_t c) {
+      const std::size_t lo = c * kShardBlockSize;
+      const std::size_t hi =
+          std::min<std::size_t>(entries_.size(), lo + kShardBlockSize);
+      for (std::size_t s = lo; s < hi; ++s) {
+        const graph::Point& pt = pts_[entries_[s].id];
+        entries_[s].x = pt.x;
+        entries_[s].y = pt.y;
       }
-      ++bc.run_len.back();
+    });
+
+    mark_near_cells();
+  }
+
+  /// near_[c] = 1 iff some transmitter lies in c's 3x3 neighbourhood.
+  /// Cells [x0, x1) of a row hold a transmitter iff the row's prefix
+  /// offsets at x0 and x1 differ, so each cell takes three such tests
+  /// (rows y-1, y, y+1; a border row stands in for its missing
+  /// neighbour, which is harmless under OR).
+  void mark_near_cells() {
+    const std::uint32_t dim = cells_;
+    const std::uint32_t last = dim - 1;
+    const auto row = [&](std::uint32_t y) {
+      return cell_start_.data() + static_cast<std::size_t>(y) * dim;
+    };
+    for (std::uint32_t y = 0; y < dim; ++y) {
+      const std::uint32_t* a = row(y > 0 ? y - 1 : 0);
+      const std::uint32_t* b = row(y);
+      const std::uint32_t* c = row(std::min(y + 1, last));
+      unsigned char* out = near_.data() + static_cast<std::size_t>(y) * dim;
+      const auto occupied = [&](std::uint32_t x0, std::uint32_t x1) {
+        return (a[x1] != a[x0]) | (b[x1] != b[x0]) | (c[x1] != c[x0]);
+      };
+      // Interior cells read [x-1, x+2) with no clamps, so this loop
+      // vectorises; the two border columns clamp.
+      for (std::uint32_t x = 1; x + 1 < dim; ++x)
+        out[x] = static_cast<unsigned char>(occupied(x - 1, x + 2));
+      out[0] = static_cast<unsigned char>(occupied(0, std::min(2u, dim)));
+      if (dim > 1)
+        out[last] = static_cast<unsigned char>(occupied(last - 1, dim));
     }
   }
 
-  /// Phase 3 of bucket_transmitters for chunk `c`: scatter the chunk's
-  /// transmitters (in local sorted order) into the runs' reserved slots
-  /// and stamp each run cell's neighbourhood.
-  void bucket_scatter_chunk(std::uint64_t c) {
-    BucketChunk& bc = bucket_chunks_[c];
-    const std::uint64_t lo = c * static_cast<std::uint64_t>(bucket_chunk_);
-    std::size_t pos = 0;
-    for (std::size_t r = 0; r < bc.run_cell.size(); ++r) {
-      const std::uint32_t len = bc.run_len[r];
-      std::uint32_t slot = bc.run_slot[r];
-      for (std::uint32_t j = 0; j < len; ++j, ++pos, ++slot) {
-        const NodeId t = bucket_tx_[lo + bc.order[pos]];
-        const graph::Point& pt = pts_[t];
-        tx_x_[slot] = pt.x;
-        tx_y_[slot] = pt.y;
-        tx_id_[slot] = t;
-      }
-      stamp_cell(bc.run_cell[r]);
-    }
-  }
-
-  /// Stamps `cell`'s 3x3 neighbourhood with the current round stamp.
-  /// Callable concurrently: all concurrent stores write the same value.
-  void stamp_cell(std::uint32_t cell) {
-    const std::uint32_t cx = cell % cells_;
-    const std::uint32_t cy = cell / cells_;
-    for (int dy = -1; dy <= 1; ++dy) {
-      for (int dx = -1; dx <= 1; ++dx) {
-        const std::int64_t nx = static_cast<std::int64_t>(cx) + dx;
-        const std::int64_t ny = static_cast<std::int64_t>(cy) + dy;
-        if (nx < 0 || ny < 0 || nx >= cells_ || ny >= cells_) continue;
-        std::atomic_ref<std::uint32_t>(
-            near_tx_stamp_[static_cast<std::uint32_t>(ny) * cells_ +
-                           static_cast<std::uint32_t>(nx)])
-            .store(round_stamp_, std::memory_order_relaxed);
-      }
-    }
-  }
-
-  /// Restores the zero-count invariant so the next round's bucketing can
-  /// skip a full-grid clear.
-  void unbucket_transmitters() {
-    for (const std::uint32_t c : occupied_) {
-      cell_begin_[c] = 0;
-      cell_fill_[c] = 0;
-    }
-  }
+  /// Software-prefetch lookahead of the sweep, in listeners: listener
+  /// v + kAhead's near flag and neighbourhood row offsets are requested
+  /// while v is scanned, and listener v + kAhead / 2's first row entries
+  /// (its offsets have arrived by then). Listener positions are random, so
+  /// without it every listener stalls on the offset load and then again on
+  /// the entry load. Dense rounds only (sweep_prefetches()).
+  static constexpr NodeId kAhead = 16;
 
   /// One listener block of the delivery sweep: for each listener able to
-  /// hear, count transmitters within `radius` among the <= 9 neighbouring
-  /// cells, early-exiting at the second hit (a collision needs no exact
-  /// count). The per-cell distance checks run through the dispatched
-  /// simd::rgg_scan kernel — four squared distances per compare on AVX2,
-  /// in the exact double-precision form of the scalar scan, so every mode
-  /// emits the same events. Purely deterministic geometry — no RNG — so
-  /// block outputs are independent of schedule by construction.
+  /// hear, count transmitters within `radius` over its three neighbourhood
+  /// row ranges, early-exiting at the second hit (a collision needs no
+  /// exact count). Hits are enumerated row by row, each row in cell order
+  /// and each cell in transmitter-list order. Purely deterministic
+  /// geometry — no RNG — so block outputs are independent of schedule by
+  /// construction.
   template <class Emitter>
   void sweep_block(NodeId lo, NodeId hi, const std::vector<char>& is_tx,
-                   bool half_duplex, Emitter& em) {
-    const simd::RggScanCtx ctx{tx_x_.data(),       tx_y_.data(),
-                               tx_id_.data(),      cell_begin_.data(),
-                               cell_fill_.data(),  cells_,
-                               r2_};
+                   bool half_duplex, Emitter& em) const {
+    const std::uint32_t last = cells_ - 1;
+    const TxEntry* entries = entries_.data();
+    const std::uint32_t* starts = cell_start_.data();
+    // The first cell (x - 1) of neighbourhood row y + dy, clamped into the
+    // grid: prefetch addresses only need to be valid.
+    const auto grid_last = static_cast<std::int64_t>(near_.size()) - 1;
+    const std::int64_t row_step = cells_;
+    const auto row_cell = [&](std::uint32_t cell, std::int64_t dy) {
+      return static_cast<std::size_t>(std::clamp<std::int64_t>(
+          static_cast<std::int64_t>(cell) + dy * row_step - 1, 0, grid_last));
+    };
+    // Cell coordinates of listener u at u % kAhead, computed once in the
+    // lookahead and read back by the scan.
+    std::uint32_t ahead_x[kAhead];
+    std::uint32_t ahead_y[kAhead];
+    const auto prefetch = [&](NodeId u) {
+      const std::uint32_t cx = cell_coord(pts_[u].x);
+      const std::uint32_t cy = cell_coord(pts_[u].y);
+      ahead_x[u % kAhead] = cx;
+      ahead_y[u % kAhead] = cy;
+      const std::uint32_t cell = cy * cells_ + cx;
+      __builtin_prefetch(near_.data() + cell);
+      for (std::int64_t dy = -1; dy <= 1; ++dy)
+        __builtin_prefetch(starts + row_cell(cell, dy));
+      if (u < lo + kAhead / 2) return;
+      const NodeId w = (u - kAhead / 2) % kAhead;
+      const std::uint32_t w_cell = ahead_y[w] * cells_ + ahead_x[w];
+      if (near_[w_cell] == 0) return;
+      for (std::int64_t dy = -1; dy <= 1; ++dy)
+        __builtin_prefetch(entries + starts[row_cell(w_cell, dy)]);
+    };
+    const bool lookahead = sweep_prefetches();
+    if (lookahead)
+      for (NodeId u = lo; u < std::min<NodeId>(hi, lo + kAhead); ++u)
+        prefetch(u);
+
     for (NodeId v = lo; v < hi; ++v) {
+      std::uint32_t cx, cy;
+      if (lookahead) {
+        cx = ahead_x[v % kAhead];
+        cy = ahead_y[v % kAhead];
+        if (hi - v > kAhead) prefetch(v + kAhead);
+      } else {
+        cx = cell_coord(pts_[v].x);
+        cy = cell_coord(pts_[v].y);
+      }
       if (half_duplex && is_tx[v]) continue;  // its own radio is busy
-      const graph::Point& pv = pts_[v];
-      auto cx = static_cast<std::uint32_t>(pv.x / cell_size_);
-      auto cy = static_cast<std::uint32_t>(pv.y / cell_size_);
-      cx = std::min(cx, cells_ - 1);
-      cy = std::min(cy, cells_ - 1);
-      if (near_tx_stamp_[cy * cells_ + cx] != round_stamp_)
-        continue;  // no transmitter within reach: silence
+      if (near_[cy * cells_ + cx] == 0) continue;  // no transmitter in reach
+      const graph::Point pv = pts_[v];
+      const std::uint32_t x0 = cx > 0 ? cx - 1 : 0;
+      const std::uint32_t x1 = std::min(cx + 1, last) + 1;
+      const std::uint32_t y1 = std::min(cy + 1, last);
+      std::uint32_t hits = 0;
       NodeId sender = 0;
-      const std::uint32_t hits = simd::rgg_scan(ctx, pv.x, pv.y, cx, cy, v,
-                                                &sender);
+      for (std::uint32_t y = cy > 0 ? cy - 1 : 0; y <= y1 && hits < 2; ++y) {
+        const std::uint32_t* row = starts + y * cells_;
+        const TxEntry* const end = entries + row[x1];
+        for (const TxEntry* e = entries + row[x0]; e != end; ++e) {
+          if (e->id == v) continue;
+          const double dx = pv.x - e->x;
+          const double dy = pv.y - e->y;
+          if (dx * dx + dy * dy > r2_) continue;
+          sender = e->id;
+          if (++hits == 2) break;
+        }
+      }
       if (hits == 1)
         em.on_deliver(v, sender);
-      else if (hits >= 2)
+      else if (hits == 2)
         em.on_collide(v);
     }
   }
@@ -508,31 +487,12 @@ class ImplicitRggTopology {
   std::uint32_t cur_round_ = 0;
   ThreadPool* pool_ = nullptr;
 
-  std::vector<graph::Point> pts_;        ///< current positions, 16 B/node
-  std::vector<std::uint32_t> cell_begin_;  ///< tx CSR starts (occupied cells)
-  std::vector<std::uint32_t> cell_fill_;   ///< tx CSR ends / scatter cursors
-  /// Transmitters, cell-grouped, structure-of-arrays with kRggPad
-  /// sentinels (see bucket_transmitters / simd::RggScanCtx).
-  std::vector<double> tx_x_;
-  std::vector<double> tx_y_;
-  std::vector<NodeId> tx_id_;
-  std::vector<std::uint32_t> occupied_;    ///< cells holding >= 1 transmitter
-  std::vector<std::uint32_t> near_tx_stamp_;  ///< round_stamp_ if 3x3 has a tx
-  std::uint32_t round_stamp_ = 0;
-
-  /// One transmitter chunk's private bucketing scratch, reused across
-  /// rounds (resized, never shrunk) — pinned allocation-free in steady
-  /// state by tests/sim/shard_scratch_test.cpp.
-  struct BucketChunk {
-    std::vector<std::uint32_t> cell;   ///< cell of chunk-local tx i
-    std::vector<std::uint32_t> order;  ///< local indices, stably cell-sorted
-    std::vector<std::uint32_t> run_cell;  ///< distinct cells, sorted order
-    std::vector<std::uint32_t> run_len;   ///< transmitters per run
-    std::vector<std::uint32_t> run_slot;  ///< global scatter start per run
-  };
-  NodeId bucket_chunk_ = kTxChunkSize;  ///< see set_bucket_chunk()
-  std::span<const NodeId> bucket_tx_;   ///< current phase's transmitters
-  std::vector<BucketChunk> bucket_chunks_;
+  std::vector<graph::Point> pts_;          ///< current positions, 16 B/node
+  std::span<const NodeId> round_tx_;       ///< the bucketed transmitters
+  std::vector<std::uint32_t> tx_cell_;     ///< cell of round_tx_[i]
+  std::vector<std::uint32_t> cell_start_;  ///< CSR offsets, grid + 1
+  std::vector<TxEntry> entries_;           ///< transmitters in cell order
+  std::vector<unsigned char> near_;        ///< 1 iff 3x3 holds a transmitter
   detail::AttentiveFlags att_flags_;          ///< swept rounds' attentive mask
   std::vector<detail::ShardBuffer> buffers_;  ///< per-block scratch, reused
 };

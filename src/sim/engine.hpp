@@ -58,7 +58,7 @@ struct RunOptions {
   DeliveryPath delivery_path = DeliveryPath::kAuto;
   /// Within-trial parallelism for the backends' sharded round phases —
   /// the listener-block sweeps, the dynamic backend's per-listener-block
-  /// sketch pass and the RGG transmitter-chunked bucketing:
+  /// sketch pass and the RGG bucketing's cell map and entry gather:
   /// 1 (default) = serial, 0 = every core (the shared global_pool(), sized
   /// by RADNET_THREADS when set), k > 1 = exactly k pool threads. Purely a
   /// scheduling knob — sampling backends counter-key every RNG draw by

@@ -44,20 +44,13 @@
 //     exactly as a serial sweep would have delivered them. Bulk counts
 //     are order-free by definition and flush once per block.
 //
-// Per-chunk merge contract (the generalisation for phases whose natural
-// work unit is not a listener block — today the RGG bucketing, per
-// *transmitter* chunk): the phase shards into fixed-width chunks, draws no
-// RNG (or a (round, chunk)-keyed stream), accumulates all shared-state
-// effects in per-chunk scratch, and commits them in one serial merge in
-// ascending chunk order. Because chunks cover the input in order, the
-// merged effect sequence — per-cell bucket segments — is exactly what a
-// serial walk of the same chunks produces, so output stays bit-identical
-// at any thread count; an RNG-free phase like the bucketing counting sort
-// is additionally chunk-*granularity* independent, which the bucketing
-// oracle test exercises. The dynamic backend's pair sketch needs no such
-// contract: it is partitioned by the listener blocks themselves, so its
-// per-round pass is one more block-keyed phase whose outputs concatenate
-// in block order. run_chunked() below is the shared fan-out of both kinds.
+// Phases other than the listener sweep use the same tools: the dynamic
+// backend's pair-sketch pass is partitioned by the listener blocks
+// themselves (one more block-keyed phase whose outputs concatenate in
+// block order), and the RGG backend's transmitter bucketing runs its pure
+// maps (cell of each transmitter, coordinates of each slot) as chunks
+// around one serial counting sort. Neither needs a merge beyond
+// concatenation in index order; run_chunked() below is their fan-out.
 //
 // Bulk ledger accounting: two classes of per-listener events can collapse
 // into exact per-block *counts* instead of buffered events, shrinking the
@@ -120,15 +113,14 @@ inline constexpr NodeId kShardBlockSize = 1u << 16;
 /// per thread to balance, and never exceed the sampling backends' 2^16.
 [[nodiscard]] unsigned csr_block_shift(NodeId n, unsigned parallelism);
 
-/// The shared chunk fan-out of the per-chunk merge contract (file comment):
-/// runs body(c) for every chunk in [0, chunks), on the pool when one is
-/// given and there is more than one chunk, inline in ascending order
-/// otherwise. The decomposition is the caller's — and for keyed phases part
-/// of its randomness contract — so the two schedules execute the *same*
-/// chunks; only the interleaving differs, and the caller's serial merge
-/// restores order. Keep `body` small enough for std::function's inline
-/// storage (a single captured pointer) so steady-state rounds stay
-/// allocation-free — pinned by tests/sim/shard_scratch_test.cpp.
+/// A plain fan-out: runs body(c) for every chunk in [0, chunks), on the
+/// pool when one is given and there is more than one chunk, inline in
+/// ascending order otherwise. The decomposition is the caller's — and for
+/// keyed phases part of its randomness contract — so the two schedules
+/// execute the *same* chunks; only the interleaving differs. Keep `body`
+/// small enough for std::function's inline storage (a single captured
+/// pointer) so steady-state rounds stay allocation-free — pinned by
+/// tests/sim/shard_scratch_test.cpp.
 void run_chunked(ThreadPool* pool, std::uint64_t chunks,
                  const std::function<void(std::uint64_t)>& body);
 

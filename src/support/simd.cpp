@@ -99,38 +99,4 @@ void classify_dense_scalar(LaneRng& lanes, const char* is_tx,
   }
 }
 
-std::uint32_t rgg_scan(const RggScanCtx& ctx, double px, double py,
-                       std::uint32_t cx, std::uint32_t cy, std::uint32_t self,
-                       std::uint32_t* sender) {
-  if (active_mode() == Mode::kAvx2)
-    return rgg_scan_avx2(ctx, px, py, cx, cy, self, sender);
-  return rgg_scan_scalar(ctx, px, py, cx, cy, self, sender);
-}
-
-std::uint32_t rgg_scan_scalar(const RggScanCtx& ctx, double px, double py,
-                              std::uint32_t cx, std::uint32_t cy,
-                              std::uint32_t self, std::uint32_t* sender) {
-  const std::uint32_t x0 = cx > 0 ? cx - 1 : 0;
-  const std::uint32_t x1 = std::min(cx + 1, ctx.cells - 1);
-  const std::uint32_t y0 = cy > 0 ? cy - 1 : 0;
-  const std::uint32_t y1 = std::min(cy + 1, ctx.cells - 1);
-  std::uint32_t hits = 0;
-  for (std::uint32_t y = y0; y <= y1 && hits < 2; ++y) {
-    for (std::uint32_t x = x0; x <= x1 && hits < 2; ++x) {
-      const std::uint32_t c = y * ctx.cells + x;
-      const std::uint32_t end = ctx.cell_end[c];
-      for (std::uint32_t i = ctx.cell_begin[c]; i < end; ++i) {
-        const std::uint32_t id = ctx.ids[i];
-        if (id == self) continue;
-        const double ddx = px - ctx.xs[i];
-        const double ddy = py - ctx.ys[i];
-        if (ddx * ddx + ddy * ddy > ctx.r2) continue;
-        *sender = id;
-        if (++hits >= 2) break;
-      }
-    }
-  }
-  return hits;
-}
-
 }  // namespace radnet::simd

@@ -1,19 +1,15 @@
-// Runtime-dispatched SIMD kernels for the two hot per-round sweeps.
+// Runtime-dispatched SIMD kernel for the dense G(n,p) classify sweep.
 //
-// Design rule: the vector paths are *transcriptions* of the scalar
-// reference, not approximations. Every kernel here has a portable scalar
-// implementation and (on x86-64) an AVX2 implementation compiled in its own
-// translation unit with -mavx2; the two produce byte-identical results:
-//
-//   * lane_step / classify_dense reproduce the xoshiro256** recurrence with
-//     exact 64-bit integer ops, and convert u64 -> double with the
-//     magic-constant trick, which is exact for values below 2^53 — the
-//     (bits >> 11) * 0x1.0p-53 uniform is therefore bit-equal to the scalar
-//     static_cast. Threshold comparisons use ordered `<`, same as scalar.
-//   * rgg_scan keeps every squared distance in the exact same double form
-//     as the scalar sweep (mul, mul, add — never FMA; the AVX2 TU is built
-//     with -mavx2 only, so the compiler cannot contract either path), and
-//     visits hits in ascending index order with the same early exit.
+// Design rule: the vector path is a *transcription* of the scalar
+// reference, not an approximation. The kernel (and the lane step it is
+// built on) has a portable scalar implementation and (on x86-64) an AVX2
+// implementation compiled in its own translation unit with -mavx2; the two
+// produce byte-identical results: lane_step / classify_dense reproduce the
+// xoshiro256** recurrence with exact 64-bit integer ops, and convert
+// u64 -> double with the magic-constant trick, which is exact for values
+// below 2^53 — the (bits >> 11) * 0x1.0p-53 uniform is therefore bit-equal
+// to the scalar static_cast. Threshold comparisons use ordered `<`, same
+// as scalar.
 //
 // Mode selection: CPUID at first use, overridable by the RADNET_SIMD
 // environment variable (`off` or `scalar` pins the portable path, `avx2`
@@ -88,44 +84,5 @@ void classify_dense_scalar(LaneRng& lanes, const char* is_tx,
 void classify_dense_avx2(LaneRng& lanes, const char* is_tx,
                          std::uint32_t count, unsigned char* codes,
                          const DenseClassifyParams& params);
-
-// ---------------------------------------------------------------------------
-// RGG neighbourhood distance scan (ImplicitRggTopology's delivery sweep).
-// ---------------------------------------------------------------------------
-
-/// One round's bucketed transmitters in SoA form (sim/backends/
-/// implicit_rgg.hpp). xs/ys/ids hold the coordinates and node ids of all
-/// transmitters, cell-segmented by the CSR arrays: cell c's entries are
-/// [cell_begin[c], cell_end[c]). The arrays carry >= kRggPad sentinel
-/// entries (coordinates far outside the unit square) past the last real
-/// transmitter so the vector path may load full 4-wide chunks that overhang
-/// a segment end.
-struct RggScanCtx {
-  const double* xs;
-  const double* ys;
-  const std::uint32_t* ids;
-  const std::uint32_t* cell_begin;
-  const std::uint32_t* cell_end;
-  std::uint32_t cells;  ///< grid side length
-  double r2;            ///< squared delivery radius
-};
-
-/// Sentinel padding the SoA arrays must carry past the final entry.
-inline constexpr std::uint32_t kRggPad = 4;
-
-/// Counts transmitters within radius of listener (px, py) over the 3x3 cell
-/// neighbourhood of (cx, cy), skipping id == self, early-exiting once two
-/// are seen. Returns the hit count capped at 2; when it is exactly 1,
-/// *sender is the unique transmitter's id. Hits are visited in ascending
-/// bucket order in every mode, so the returned sender is mode-independent.
-std::uint32_t rgg_scan(const RggScanCtx& ctx, double px, double py,
-                       std::uint32_t cx, std::uint32_t cy, std::uint32_t self,
-                       std::uint32_t* sender);
-std::uint32_t rgg_scan_scalar(const RggScanCtx& ctx, double px, double py,
-                              std::uint32_t cx, std::uint32_t cy,
-                              std::uint32_t self, std::uint32_t* sender);
-std::uint32_t rgg_scan_avx2(const RggScanCtx& ctx, double px, double py,
-                            std::uint32_t cx, std::uint32_t cy,
-                            std::uint32_t self, std::uint32_t* sender);
 
 }  // namespace radnet::simd

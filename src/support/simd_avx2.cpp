@@ -1,6 +1,6 @@
 // AVX2 implementations of the dispatched kernels (support/simd.hpp). This
-// TU is the only one compiled with -mavx2 (plus -ffp-contract=off, shared
-// with simd.cpp, so neither side of the identity contract can fuse
+// TU is the only one compiled with -mavx2 (like every TU it is built with
+// -ffp-contract=off, so neither side of the identity contract can fuse
 // mul+add); everything here must stay byte-identical to the scalar
 // reference in simd.cpp — see the header for the exactness argument.
 #include "support/simd.hpp"
@@ -142,49 +142,6 @@ void classify_dense_avx2(LaneRng& lanes, const char* is_tx,
                          s[h][w]);
 }
 
-std::uint32_t rgg_scan_avx2(const RggScanCtx& ctx, double px, double py,
-                            std::uint32_t cx, std::uint32_t cy,
-                            std::uint32_t self, std::uint32_t* sender) {
-  const __m256d pxv = _mm256_set1_pd(px);
-  const __m256d pyv = _mm256_set1_pd(py);
-  const __m256d r2v = _mm256_set1_pd(ctx.r2);
-  const std::uint32_t x0 = cx > 0 ? cx - 1 : 0;
-  const std::uint32_t x1 = std::min(cx + 1, ctx.cells - 1);
-  const std::uint32_t y0 = cy > 0 ? cy - 1 : 0;
-  const std::uint32_t y1 = std::min(cy + 1, ctx.cells - 1);
-  std::uint32_t hits = 0;
-  for (std::uint32_t y = y0; y <= y1; ++y) {
-    for (std::uint32_t x = x0; x <= x1; ++x) {
-      const std::uint32_t c = y * ctx.cells + x;
-      const std::uint32_t end = ctx.cell_end[c];
-      for (std::uint32_t i = ctx.cell_begin[c]; i < end; i += 4) {
-        // Full-width loads may overhang the segment (kRggPad sentinels make
-        // them safe); the tail mask discards the overhang, and hits are
-        // consumed in ascending index order — same order, same early exit,
-        // same sender as the scalar scan.
-        const __m256d xs = _mm256_loadu_pd(ctx.xs + i);
-        const __m256d ys = _mm256_loadu_pd(ctx.ys + i);
-        const __m256d dx = _mm256_sub_pd(pxv, xs);
-        const __m256d dy = _mm256_sub_pd(pyv, ys);
-        const __m256d d2 =
-            _mm256_add_pd(_mm256_mul_pd(dx, dx), _mm256_mul_pd(dy, dy));
-        int mask = _mm256_movemask_pd(_mm256_cmp_pd(d2, r2v, _CMP_LE_OQ));
-        const std::uint32_t rem = end - i;
-        if (rem < 4) mask &= (1 << rem) - 1;
-        while (mask) {
-          const int lane = __builtin_ctz(static_cast<unsigned>(mask));
-          mask &= mask - 1;
-          const std::uint32_t id = ctx.ids[i + static_cast<std::uint32_t>(lane)];
-          if (id == self) continue;
-          *sender = id;
-          if (++hits >= 2) return 2;
-        }
-      }
-    }
-  }
-  return hits;
-}
-
 }  // namespace radnet::simd
 
 #else  // !__AVX2__ — non-x86 build or compiler without -mavx2 support.
@@ -201,12 +158,6 @@ void classify_dense_avx2(LaneRng& lanes, const char* is_tx,
                          std::uint32_t count, unsigned char* codes,
                          const DenseClassifyParams& params) {
   classify_dense_scalar(lanes, is_tx, count, codes, params);
-}
-
-std::uint32_t rgg_scan_avx2(const RggScanCtx& ctx, double px, double py,
-                            std::uint32_t cx, std::uint32_t cy,
-                            std::uint32_t self, std::uint32_t* sender) {
-  return rgg_scan_scalar(ctx, px, py, cx, cy, self, sender);
 }
 
 }  // namespace radnet::simd

@@ -38,7 +38,6 @@
 #include "harness/monte_carlo.hpp"
 #include "sim/engine.hpp"
 #include "statistical_oracle.hpp"
-#include "support/simd.hpp"
 #include "support/thread_pool.hpp"
 
 namespace radnet::sim {
@@ -150,52 +149,150 @@ CollectSink brute_force_round(const ImplicitRggTopology& topo, double radius,
   return expected;
 }
 
-TEST(ImplicitRggGeometry, CellGridSweepMatchesBruteForce) {
-  // Runs under every SIMD dispatch mode: the vectorised distance-mask scan
-  // keeps comparisons in the exact double-precision form of the scalar
-  // sweep, so both modes must match the brute-force oracle event-for-event.
-  const simd::Mode mode_before = simd::active_mode();
-  const graph::NodeId n = 700;
-  const double radius = graph::rgg_threshold_radius(n, 4.0);
-  const double step = radius / 6.0;
-  for (const simd::Mode mode : {simd::Mode::kScalar, simd::Mode::kAvx2}) {
-    if (mode == simd::Mode::kAvx2 && !simd::cpu_has_avx2()) continue;
-    simd::set_mode(mode);
-    for (const bool half_duplex : {true, false}) {
-      ImplicitRggTopology topo(ImplicitRgg{n, radius, step, Rng(0x9e0)});
-      std::vector<char> is_tx(n, 0);
-      for (std::uint32_t round = 0; round < 24; ++round) {
-        topo.begin_round(round);
-        // A deterministic transmitter set that varies per round and
-        // includes clustered ids (adjacent ids are geometrically
-        // unrelated, but cell collisions among transmitters are what the
-        // early-exit must handle).
-        std::vector<graph::NodeId> tx;
-        for (graph::NodeId v = round % 5; v < n; v += 3 + (round % 11))
-          tx.push_back(v);
-        for (const graph::NodeId t : tx) is_tx[t] = 1;
+/// Rounds of a brute-force case swept with and without the prefetch
+/// lookahead (ImplicitRggTopology::sweep_prefetches).
+struct SweepSides {
+  std::uint32_t lookahead = 0;
+  std::uint32_t plain = 0;
+};
 
-        CollectSink got;
-        topo.deliver({tx.data(), tx.size()}, is_tx, half_duplex,
-                     DeliveryPath::kAuto, std::nullopt,
-                     /*collisions_inert=*/false, got);
-        const CollectSink expected =
-            brute_force_round(topo, radius, {tx.data(), tx.size()}, is_tx,
-                              half_duplex);
-        ASSERT_EQ(got.deliveries, expected.deliveries)
-            << "round " << round << " half_duplex " << half_duplex
-            << " mode " << simd::mode_name(mode);
-        ASSERT_EQ(got.collisions, expected.collisions)
-            << "round " << round << " half_duplex " << half_duplex
-            << " mode " << simd::mode_name(mode);
-        EXPECT_EQ(got.bulk_deliveries, 0u);
-        EXPECT_EQ(got.bulk_collisions, 0u);
+/// Runs `rounds` rounds of the cell-grid sweep against the brute-force
+/// oracle, in both duplex modes. `tx_of(round, topo)` picks the round's
+/// transmitters; `pool` (null = serial blocks) drives the sharded path.
+/// `sides` counts the rounds swept with and without the lookahead.
+template <class TxOf>
+void expect_sweep_matches_brute_force(graph::NodeId n, double radius,
+                                      double step, std::uint64_t seed,
+                                      std::uint32_t rounds, ThreadPool* pool,
+                                      const TxOf& tx_of, SweepSides& sides) {
+  for (const bool half_duplex : {true, false}) {
+    ImplicitRggTopology topo(ImplicitRgg{n, radius, step, Rng(seed)});
+    topo.set_parallelism(pool);
+    std::vector<char> is_tx(n, 0);
+    std::uint64_t deliveries = 0, collisions = 0;
+    for (std::uint32_t round = 0; round < rounds; ++round) {
+      topo.begin_round(round);
+      const std::vector<graph::NodeId> tx = tx_of(round, topo);
+      for (const graph::NodeId t : tx) is_tx[t] = 1;
 
-        for (const graph::NodeId t : tx) is_tx[t] = 0;
-      }
+      CollectSink got;
+      topo.deliver({tx.data(), tx.size()}, is_tx, half_duplex,
+                   DeliveryPath::kAuto, std::nullopt,
+                   /*collisions_inert=*/false, got);
+      ++(topo.sweep_prefetches() ? sides.lookahead : sides.plain);
+      const CollectSink expected = brute_force_round(
+          topo, radius, {tx.data(), tx.size()}, is_tx, half_duplex);
+      ASSERT_EQ(got.deliveries, expected.deliveries)
+          << "n " << n << " cells " << topo.grid_cells() << " round "
+          << round << " half_duplex " << half_duplex;
+      ASSERT_EQ(got.collisions, expected.collisions)
+          << "n " << n << " cells " << topo.grid_cells() << " round "
+          << round << " half_duplex " << half_duplex;
+      EXPECT_EQ(got.bulk_deliveries, 0u);
+      EXPECT_EQ(got.bulk_collisions, 0u);
+      deliveries += expected.deliveries.size();
+      collisions += expected.collisions.size();
+
+      for (const graph::NodeId t : tx) is_tx[t] = 0;
     }
+    // The case must exercise both outcomes somewhere.
+    EXPECT_GT(deliveries, 0u) << "n " << n << " half_duplex " << half_duplex;
+    EXPECT_GT(collisions, 0u) << "n " << n << " half_duplex " << half_duplex;
   }
-  simd::set_mode(mode_before);
+}
+
+/// A deterministic transmitter set that varies per round: every
+/// (stride + round % 11)-th id from offset round % 5. Adjacent ids are
+/// geometrically unrelated, but cell collisions among transmitters are
+/// what the early exit must handle.
+std::vector<graph::NodeId> strided_tx(graph::NodeId n, std::uint32_t round,
+                                      graph::NodeId stride) {
+  std::vector<graph::NodeId> tx;
+  for (graph::NodeId v = round % 5; v < n; v += stride + (round % 11))
+    tx.push_back(v);
+  return tx;
+}
+
+TEST(ImplicitRggGeometry, CellGridSweepMatchesBruteForce) {
+  SweepSides all;
+  // One block, serial: the original small case.
+  {
+    const graph::NodeId n = 700;
+    const double radius = graph::rgg_threshold_radius(n, 4.0);
+    expect_sweep_matches_brute_force(
+        n, radius, radius / 6.0, 0x9e0, 24, nullptr,
+        [n](std::uint32_t round, const ImplicitRggTopology&) {
+          return strided_tx(n, round, 3);
+        },
+        all);
+  }
+  // Two listener blocks, the last one partial, on the pool: the block
+  // ends of the sharded sweep, on both sides of the lookahead threshold.
+  // Even rounds are dense (mean degree 64 with k ~ n/32 keeps ~2
+  // transmitters in reach of a listener, so deliveries and collisions
+  // both occur) and run the lookahead; odd rounds (k ~ n/1024) are sparse
+  // and run the plain scan.
+  {
+    const graph::NodeId n = 70'000;
+    const double radius =
+        std::sqrt(64.0 / (3.14159265358979 * static_cast<double>(n)));
+    SweepSides sides;
+    expect_sweep_matches_brute_force(
+        n, radius, radius / 6.0, 0x70a, 4, resolve_pool(0),
+        [n](std::uint32_t round, const ImplicitRggTopology&) {
+          return strided_tx(n, round, round % 2 == 0 ? 32 : 1024);
+        },
+        sides);
+    EXPECT_EQ(sides.lookahead, 4u);
+    EXPECT_EQ(sides.plain, 4u);
+    all.lookahead += sides.lookahead;
+    all.plain += sides.plain;
+  }
+  // Degenerate grids: one cell (radius >= 1), where every row range is the
+  // whole grid, and two cells per axis, where every neighbourhood row
+  // range is clamped on one side.
+  for (const double radius : {1.0, 1.3, 0.4}) {
+    const graph::NodeId n = 300;
+    expect_sweep_matches_brute_force(
+        n, radius, 0.05, 0x1ce11, 6, nullptr,
+        [n](std::uint32_t round, const ImplicitRggTopology&) {
+          // 1, 3 or 5 transmitters: in a grid this coarse a listener
+          // hears most of them, so small sets are what yields deliveries.
+          const graph::NodeId count = 1 + 2 * (round % 3);
+          std::vector<graph::NodeId> tx;
+          for (graph::NodeId j = 0; j < count; ++j)
+            tx.push_back(round + j * (n / count));
+          return tx;
+        },
+        all);
+  }
+  // A capped grid: radius far below 1/ceil(sqrt(2n)), so the cell count
+  // comes from the O(n) cap, not the radius. Every node in a border row
+  // or column transmits (plus a sparse interior set), so the row-range
+  // clamps at all four edges carry hits.
+  {
+    const graph::NodeId n = 700;
+    const double radius = 0.02;
+    expect_sweep_matches_brute_force(
+        n, radius, radius / 4.0, 0xcab, 6, nullptr,
+        [n](std::uint32_t round, const ImplicitRggTopology& topo) {
+          const std::uint32_t dim = topo.grid_cells();
+          EXPECT_EQ(dim, static_cast<std::uint32_t>(std::ceil(
+                             std::sqrt(2.0 * static_cast<double>(n)))));
+          std::vector<graph::NodeId> tx;
+          for (graph::NodeId v = 0; v < n; ++v) {
+            const std::uint32_t cell = topo.cell_of(v);
+            const std::uint32_t cx = cell % dim, cy = cell / dim;
+            const bool border =
+                cx == 0 || cy == 0 || cx == dim - 1 || cy == dim - 1;
+            if (border || (v + round) % 9 == 0) tx.push_back(v);
+          }
+          return tx;
+        },
+        all);
+  }
+  EXPECT_GT(all.lookahead, 0u);
+  EXPECT_GT(all.plain, 0u);
 }
 
 TEST(ImplicitRggGeometry, AttentiveHintFoldsExactly) {
@@ -280,30 +377,29 @@ TEST(ImplicitRggGeometry, SameSpecReplaysIdentically) {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded-bucketing oracle: the parallel counting sort vs first principles.
+// Bucketing oracle: the cell-ordered CSR vs a first-principles counting sort.
 
 TEST(ImplicitRggGeometry, ShardedBucketingMatchesSerialCountingSort) {
-  // The transmitter bucketing shards into per-chunk local counting sorts
-  // whose runs merge into the shared grid in cell order. The contract it
-  // must keep for the sweep to stay byte-identical: every cell's entry
-  // list equals the serial counting sort's — the transmitters of that
-  // cell *in global transmitter-list order* — and a cell is stamped iff
-  // some transmitter occupies its 3x3 neighbourhood. The phase draws no
-  // randomness, so the bucket layout must also be independent of the
-  // chunk *granularity*, not just the schedule; this sweeps both, with
-  // chunk widths straddling every boundary case (one chunk for all, many
-  // tiny chunks, a prime width, a width that leaves a short tail chunk).
-  const graph::NodeId n = 3000;
+  // The bucketing maps transmitters to cells and gathers coordinates in
+  // parallel around one serial counting sort. The contract it must keep
+  // for the sweep to stay byte-identical: every cell's entry list equals
+  // the serial counting sort's — the transmitters of that cell *in
+  // transmitter-list order*, at their current positions — and a cell's
+  // near flag is set iff some transmitter lies in its 3x3 neighbourhood.
+  // Checked on both schedules; n is large enough that a dense round spans
+  // several transmitter chunks, so the pooled map and gather really fan
+  // out.
+  const graph::NodeId n = 140'000;
   const double radius = graph::rgg_threshold_radius(n, 4.0);
   ImplicitRggTopology topo(ImplicitRgg{n, radius, radius / 5.0, Rng(0xB0CC)});
   const std::uint32_t dim = topo.grid_cells();
   const std::size_t grid = static_cast<std::size_t>(dim) * dim;
+  const auto& pts = topo.positions();
 
   for (std::uint32_t round = 0; round < 4; ++round) {
     topo.begin_round(round);
     // Transmitter sets from sparse (k = 3) through dense (k = n) — dense
-    // rounds force many transmitters per cell and cells split across
-    // chunk boundaries (the merge's concatenation case).
+    // rounds put many transmitters in every cell.
     std::vector<graph::NodeId> tx;
     const graph::NodeId stride = round == 0 ? n / 3 : (round == 1 ? 17 : 1);
     for (graph::NodeId v = round % 3; v < n; v += stride) tx.push_back(v);
@@ -312,7 +408,7 @@ TEST(ImplicitRggGeometry, ShardedBucketingMatchesSerialCountingSort) {
     // The serial counting sort, from first principles.
     std::vector<std::vector<graph::NodeId>> expected(grid);
     for (const graph::NodeId t : tx) expected[topo.cell_of(t)].push_back(t);
-    std::vector<char> stamped(grid, 0);
+    std::vector<char> near(grid, 0);
     for (std::size_t cell = 0; cell < grid; ++cell) {
       if (expected[cell].empty()) continue;
       const auto cx = static_cast<std::int64_t>(cell % dim);
@@ -321,34 +417,33 @@ TEST(ImplicitRggGeometry, ShardedBucketingMatchesSerialCountingSort) {
         for (std::int64_t dx = -1; dx <= 1; ++dx) {
           const std::int64_t nx = cx + dx, ny = cy + dy;
           if (nx < 0 || ny < 0 || nx >= dim || ny >= dim) continue;
-          stamped[static_cast<std::size_t>(ny) * dim + nx] = 1;
+          near[static_cast<std::size_t>(ny) * dim + nx] = 1;
         }
     }
 
-    const graph::NodeId widths[] = {0, 64, 257, 1024, k + 7};
-    for (const graph::NodeId width : widths) {
-      topo.set_bucket_chunk(width);
-      for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr),
-                               resolve_pool(0)}) {
-        topo.set_parallelism(pool);
-        topo.bucket_for_test({tx.data(), tx.size()});
-        for (std::size_t cell = 0; cell < grid; ++cell) {
-          const std::span<const graph::NodeId> got =
-              topo.cell_entries(static_cast<std::uint32_t>(cell));
-          ASSERT_TRUE(std::equal(got.begin(), got.end(),
-                                 expected[cell].begin(),
-                                 expected[cell].end()))
-              << "round " << round << " k " << k << " width " << width
-              << " pool " << (pool != nullptr) << " cell " << cell;
-          ASSERT_EQ(topo.cell_stamped(static_cast<std::uint32_t>(cell)),
-                    stamped[cell] != 0)
-              << "round " << round << " k " << k << " width " << width
-              << " pool " << (pool != nullptr) << " cell " << cell;
+    for (ThreadPool* pool :
+         {static_cast<ThreadPool*>(nullptr), resolve_pool(0)}) {
+      topo.set_parallelism(pool);
+      topo.bucket_for_test({tx.data(), tx.size()});
+      for (std::size_t cell = 0; cell < grid; ++cell) {
+        const auto got = topo.cell_entries(static_cast<std::uint32_t>(cell));
+        ASSERT_EQ(got.size(), expected[cell].size())
+            << "round " << round << " k " << k << " pool "
+            << (pool != nullptr) << " cell " << cell;
+        for (std::size_t i = 0; i < got.size(); ++i) {
+          const graph::NodeId t = expected[cell][i];
+          ASSERT_EQ(got[i].id, t) << "round " << round << " k " << k
+                                  << " pool " << (pool != nullptr)
+                                  << " cell " << cell << " entry " << i;
+          ASSERT_EQ(got[i].x, pts[t].x);
+          ASSERT_EQ(got[i].y, pts[t].y);
         }
-        topo.unbucket_for_test();
+        ASSERT_EQ(topo.cell_near(static_cast<std::uint32_t>(cell)),
+                  near[cell] != 0)
+            << "round " << round << " k " << k << " pool "
+            << (pool != nullptr) << " cell " << cell;
       }
     }
-    topo.set_bucket_chunk(0);
     topo.set_parallelism(nullptr);
   }
 }

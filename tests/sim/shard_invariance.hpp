@@ -2,8 +2,8 @@
 //
 // Every backend family decomposes its per-round work — listener-block
 // sweeps, the dynamic backend's per-listener-block sketch pass, the RGG
-// transmitter-chunked bucketing — under the keying and merge contracts
-// of sim/sharding.hpp, which promise one observable: a run's trace, ledger
+// bucketing's parallel cell map and gather — under the keying and merge
+// contracts of sim/sharding.hpp, which promise one observable: a run's trace, ledger
 // and RunResult are *byte-identical* no matter how the work is scheduled.
 // This header is that promise as a property check, shared by every test
 // that pins it (tests/sim/thread_invariance_test.cpp sections, the phase

@@ -1,18 +1,18 @@
 // Allocation-bound regression for the sharded per-round phases.
 //
 // The dynamic backend's per-listener-block sketch pass
-// (implicit_dynamic.hpp) and the sharded RGG transmitter bucketing
-// (implicit_rgg.hpp) keep all per-(round, block/chunk) scratch in reusable
-// member buffers, and their pool fan-out lambdas capture a single pointer
-// (`this` or one reference) so the std::function handed to
-// ThreadPool::parallel_for_index stays in its inline storage. The consequence pinned here: once warmed up, steady-state
-// rounds perform *zero* heap allocations, with a live multi-block
-// decomposition on the real global pool. The global operator new below
-// counts every allocation in the process (worker threads included), so a
-// regression anywhere in the phase machinery — a by-value capture that
-// spills std::function to the heap, per-round scratch reconstruction, a
-// merge buffer rebuilt per call, a node-allocating sketch insert — fails
-// loudly.
+// (implicit_dynamic.hpp) and the implicit RGG rounds (implicit_rgg.hpp)
+// keep all per-(round, block/chunk) scratch in reusable member buffers,
+// and their pool fan-out lambdas capture a single pointer (`this` or one
+// reference) so the std::function handed to
+// ThreadPool::parallel_for_index stays in its inline storage. The
+// consequence pinned here: once warmed up, steady-state rounds perform
+// *zero* heap allocations, with a live multi-block decomposition on the
+// real global pool. The global operator new below counts every allocation
+// in the process (worker threads included), so a regression anywhere in
+// the phase machinery — a by-value capture that spills std::function to
+// the heap, per-round scratch reconstruction, a merge buffer rebuilt per
+// call, a node-allocating sketch insert — fails loudly.
 //
 // Scenario notes. Both dynamic runs span three listener blocks (the last
 // one partial), so the sketch pass and the sweep genuinely fan out. A
@@ -22,14 +22,14 @@
 // still consumed). The second keeps sampling with a rotating transmitter
 // set, so every counted round resolves pairs, drops negatives and
 // refills the freed slots from the sweep's records — the record-insert
-// path under a full sketch. The RGG run parks the motion process
-// (step = 0) and drives just the bucketing phase through its test hook —
-// the counted work is the parallel counting sort plus the cell-ordered
-// merge and scatter, nothing else.
+// path under a full sketch. The RGG runs drive whole rounds (motion and
+// delivery) over three listener blocks; see the test for its two regimes.
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -189,43 +189,62 @@ TEST(ShardScratch, DynamicSamplingRoundsWithFullSketchAllocFree) {
 }
 
 TEST(ShardScratch, RggBucketingSteadyStateAllocFree) {
-  const graph::NodeId n = 8192;
+  // Whole rounds — begin_round (motion) plus deliver (cell map, counting
+  // sort, gather, near flags, pooled sweep, merge) — over three listener
+  // blocks on the global pool, alternating two transmitter sets of equal
+  // size. Two regimes:
+  //   * moving devices, deliveries and collisions folded into bulk counts
+  //     (empty attentive hint, inert collisions), so every counted round
+  //     does fresh geometry while the block buffers stay empty;
+  //   * parked devices (step = 0) with every event buffered: the per-block
+  //     event counts then repeat exactly, so the warm-up reaches every
+  //     buffer's high-water mark and the counted rounds exercise the
+  //     buffered merge.
+  const graph::NodeId n = 140'000;
   const double radius = graph::rgg_threshold_radius(n, 4.0);
-  // step = 0 parks the motion process: identical occupancy every round, so
-  // every scratch buffer's high-water mark is hit on the first pass.
-  ImplicitRggTopology topo(ImplicitRgg{n, radius, 0.0, Rng(0xB0C5C)});
-  topo.begin_round(0);
-  topo.set_parallelism(resolve_pool(0));
-  topo.set_bucket_chunk(512);  // 8 chunks over k = 4096 transmitters
+  for (const bool moving : {true, false}) {
+    ImplicitRggTopology topo(
+        ImplicitRgg{n, radius, moving ? radius / 8.0 : 0.0, Rng(0xB0C5C)});
+    topo.set_parallelism(resolve_pool(0));
+    std::vector<graph::NodeId> tx_sets[2];
+    std::vector<char> is_tx(n, 0);
+    for (graph::NodeId v = 0; v < n; v += 16) {
+      tx_sets[0].push_back(v);
+      tx_sets[1].push_back(v + 8);
+    }
+    const std::vector<graph::NodeId> no_one;
+    const auto attentive =
+        moving ? std::optional<std::span<const graph::NodeId>>(
+                     std::span<const graph::NodeId>(no_one))
+               : std::nullopt;
+    CountSink sink;
+    const auto run = [&](std::uint32_t round) {
+      topo.begin_round(round);
+      const std::vector<graph::NodeId>& tx = tx_sets[round % 2];
+      for (const graph::NodeId t : tx) is_tx[t] = 1;
+      topo.deliver({tx.data(), tx.size()}, is_tx, /*half_duplex=*/true,
+                   DeliveryPath::kAuto, attentive,
+                   /*collisions_inert=*/moving, sink);
+      for (const graph::NodeId t : tx) is_tx[t] = 0;
+    };
 
-  std::vector<graph::NodeId> tx;
-  for (graph::NodeId v = 0; v < n; v += 2) tx.push_back(v);
+    for (std::uint32_t round = 0; round < 4; ++round) run(round);
+    const CountSink warm = sink;
+    const std::uint64_t before = g_allocations.load();
+    for (std::uint32_t round = 4; round < 12; ++round) run(round);
+    const std::uint64_t during = g_allocations.load() - before;
 
-  for (int warm = 0; warm < 2; ++warm) {
-    topo.bucket_for_test({tx.data(), tx.size()});
-    topo.unbucket_for_test();
+    EXPECT_EQ(during, 0u)
+        << "steady-state RGG rounds (moving " << moving << ") allocated "
+        << during << " times; per-round scratch is being rebuilt";
+    // The counted rounds did real work.
+    if (moving) {
+      EXPECT_GT(sink.bulk, warm.bulk);
+    } else {
+      EXPECT_GT(sink.deliveries, warm.deliveries);
+      EXPECT_GT(sink.collisions, warm.collisions);
+    }
   }
-
-  const std::uint64_t before = g_allocations.load();
-  for (int round = 0; round < 8; ++round) {
-    topo.bucket_for_test({tx.data(), tx.size()});
-    topo.unbucket_for_test();
-  }
-  const std::uint64_t during = g_allocations.load() - before;
-
-  EXPECT_EQ(during, 0u)
-      << "steady-state bucketing rounds allocated " << during
-      << " times; per-chunk scratch is being rebuilt";
-
-  // The counted work was real: bucket once more and check the grid.
-  topo.bucket_for_test({tx.data(), tx.size()});
-  std::uint64_t bucketed = 0;
-  const std::uint32_t dim = topo.grid_cells();
-  for (std::uint32_t cell = 0; cell < dim * dim; ++cell)
-    bucketed += topo.cell_entries(cell).size();
-  EXPECT_EQ(bucketed, tx.size());
-  topo.unbucket_for_test();
-  topo.set_bucket_chunk(0);
 }
 
 }  // namespace

@@ -13,7 +13,7 @@
 // failure-injection run (the block-sharded failure sweep), the dedicated
 // phase matrices for the sketch pass (churn + failures + ramping
 // transmitter counts over three listener blocks, the last one partial)
-// and the RGG transmitter bucketing (dense cells,
+// and the RGG bucketing (dense cells,
 // ramping k), the implicit mobility-RGG backend (counter-keyed motion
 // sweep + RNG-free cell-grid delivery, with and without the attentive bulk
 // fold), and the explicit CSR family: all three delivery paths on a static
@@ -167,8 +167,8 @@ TEST(ThreadInvariance, ImplicitRggMobility) {
   // The implicit mobility-RGG backend: motion draws are counter-keyed per
   // (round, block), and the bucketing + cell-grid delivery draw no
   // randomness, so trace + ledger + RunResult must be byte-identical at
-  // any thread count and SIMD mode (the distance checks run through the
-  // dispatched vector-mask kernel). n spans several shard blocks so 2- and
+  // any thread count and SIMD mode (the distance scan is plain scalar
+  // code, so the mode must not matter). n spans several shard blocks so 2- and
   // 8-thread schedules genuinely interleave movement, bucketing and
   // delivery work (acceptance matrix: RGG mobility runs byte-identical
   // across {1,2,8,0} threads × SIMD modes).
@@ -187,12 +187,11 @@ TEST(ThreadInvariance, ImplicitRggMobility) {
 }
 
 TEST(ThreadInvariance, RggBucketingPhaseMatrix) {
-  // The dedicated phase matrix for the sharded transmitter bucketing: a
-  // denser geometry (more transmitters per cell, more runs per chunk) and
-  // a broadcast ramp that crosses the 1-chunk → many-chunk boundary, so a
-  // cell split across chunks (the merge's concatenation case) occurs every
-  // heavy round. The phase draws no RNG, so any divergence here is a
-  // layout slip in the cell-ordered merge, not a stream mismatch.
+  // The dedicated phase matrix for the transmitter bucketing: a denser
+  // geometry (more transmitters per cell, longer row ranges) under a
+  // broadcast's ramp of transmitter counts. The phase draws no RNG, so any
+  // divergence here is a layout slip in the cell-ordered CSR, not a
+  // stream mismatch.
   const graph::NodeId n = 120'000;
   const double radius = std::sqrt(24.0 / (3.14159 * n));
   const double p = 3.14159 * radius * radius;

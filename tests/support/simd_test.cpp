@@ -200,110 +200,6 @@ TEST(ClassifyDenseTest, HalfDuplexThresholdsSilenceTransmitters) {
   for (const unsigned char c : codes) ASSERT_EQ(c, simd::kOutcomeSilent);
 }
 
-/// Builds a tiny cell grid over random transmitters, exactly like
-/// ImplicitRggTopology::bucket_transmitters (first-touch CSR + sentinels).
-struct GridFixture {
-  std::vector<double> xs, ys;
-  std::vector<std::uint32_t> ids;
-  std::vector<std::uint32_t> begin, end;
-  std::uint32_t cells;
-  double r2;
-  std::vector<std::pair<double, double>> raw;  // (x, y) by transmitter index
-
-  GridFixture(std::uint32_t cells_per_axis, std::uint32_t k, double radius,
-              std::uint64_t seed)
-      : cells(cells_per_axis), r2(radius * radius) {
-    Rng rng(seed);
-    std::vector<std::uint32_t> cell_of(k);
-    std::vector<std::uint32_t> count(static_cast<std::size_t>(cells) * cells,
-                                     0);
-    for (std::uint32_t t = 0; t < k; ++t) {
-      const double x = rng.next_double();
-      const double y = rng.next_double();
-      raw.emplace_back(x, y);
-      const auto cx = std::min(static_cast<std::uint32_t>(
-                                   x * static_cast<double>(cells)),
-                               cells - 1);
-      const auto cy = std::min(static_cast<std::uint32_t>(
-                                   y * static_cast<double>(cells)),
-                               cells - 1);
-      cell_of[t] = cy * cells + cx;
-      ++count[cell_of[t]];
-    }
-    begin.assign(static_cast<std::size_t>(cells) * cells, 0);
-    end.assign(static_cast<std::size_t>(cells) * cells, 0);
-    std::uint32_t offset = 0;
-    for (std::size_t c = 0; c < begin.size(); ++c) {
-      begin[c] = offset;
-      offset += count[c];
-      end[c] = begin[c];
-    }
-    xs.assign(k + simd::kRggPad, 1e30);
-    ys.assign(k + simd::kRggPad, 1e30);
-    ids.assign(k + simd::kRggPad, 0xffffffffu);
-    for (std::uint32_t t = 0; t < k; ++t) {
-      const std::uint32_t slot = end[cell_of[t]]++;
-      xs[slot] = raw[t].first;
-      ys[slot] = raw[t].second;
-      ids[slot] = t;
-    }
-  }
-
-  [[nodiscard]] simd::RggScanCtx ctx() const {
-    return simd::RggScanCtx{xs.data(),    ys.data(), ids.data(),
-                            begin.data(), end.data(), cells,
-                            r2};
-  }
-};
-
-TEST(RggScanTest, ModesMatchEachOtherAndBruteForce) {
-  const double radius = 0.11;
-  GridFixture grid(/*cells_per_axis=*/9, /*k=*/150, radius, /*seed=*/31);
-  Rng rng(77);
-  for (int trial = 0; trial < 2000; ++trial) {
-    const double px = rng.next_double();
-    const double py = rng.next_double();
-    const auto cx = std::min(
-        static_cast<std::uint32_t>(px * static_cast<double>(grid.cells)),
-        grid.cells - 1);
-    const auto cy = std::min(
-        static_cast<std::uint32_t>(py * static_cast<double>(grid.cells)),
-        grid.cells - 1);
-    // Listener may coincide with a transmitter id to exercise self-skip.
-    const std::uint32_t self = static_cast<std::uint32_t>(trial % 200);
-
-    // Brute force over all transmitters (the grid is fine enough for the
-    // 3x3 neighbourhood to cover the radius).
-    std::uint32_t brute_hits = 0;
-    std::uint32_t brute_sender = 0;
-    for (std::uint32_t t = 0; t < grid.raw.size(); ++t) {
-      if (t == self) continue;
-      const double ddx = px - grid.raw[t].first;
-      const double ddy = py - grid.raw[t].second;
-      if (ddx * ddx + ddy * ddy > grid.r2) continue;
-      ++brute_hits;
-      if (brute_hits == 1) brute_sender = t;
-    }
-
-    std::uint32_t s_sender = 0, v_sender = 0;
-    const std::uint32_t s_hits = simd::rgg_scan_scalar(
-        grid.ctx(), px, py, cx, cy, self, &s_sender);
-    ASSERT_EQ(s_hits, std::min<std::uint32_t>(brute_hits, 2));
-    if (s_hits == 1) {
-      ASSERT_EQ(s_sender, brute_sender);
-    }
-
-    if (simd::cpu_has_avx2()) {
-      const std::uint32_t v_hits = simd::rgg_scan_avx2(
-          grid.ctx(), px, py, cx, cy, self, &v_sender);
-      ASSERT_EQ(v_hits, s_hits);
-      if (s_hits == 1) {
-        ASSERT_EQ(v_sender, s_sender);
-      }
-    }
-  }
-}
-
 TEST(SimdModeTest, NamesAndOverrides) {
   EXPECT_STREQ(simd::mode_name(simd::Mode::kScalar), "scalar");
   EXPECT_STREQ(simd::mode_name(simd::Mode::kAvx2), "avx2");

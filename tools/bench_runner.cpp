@@ -70,24 +70,25 @@
 // gate fails unless the child really died by SIGKILL, the torn partial
 // output is a byte-prefix of the uninterrupted stream, and the resumed
 // stream is byte-identical to it (resume(interrupt(run)) == run).
-// Schema v8 adds "e13_simd" plus four benchmarks rows
-// (dense_classify_sweep_* / rgg_distance_sweep_*): per-sweep ns/round of
-// the two vectorised hot loops — the dense G(n,p) lane classification and
-// the RGG distance-mask scan — timed under scalar and SIMD dispatch
+// Schema v8 adds "e13_simd" plus benchmarks rows
+// (dense_classify_sweep_*): per-sweep ns/round of the vectorised dense
+// G(n,p) lane classification, timed under scalar and SIMD dispatch
 // (support/simd.hpp), and a "simd"/"cpu_avx2" pair in the host block
 // recording which kernels the run actually used. The smoke gate FAILS if
 // the scalar and SIMD kernels ever diverge: the lane generator's bulk
-// stream is byte-compared against its scalar reference, and both sweep
-// benchmarks fingerprint every emitted event (order included) per mode —
+// stream is byte-compared against its scalar reference, and the sweep
+// benchmark fingerprints every emitted event (order included) per mode —
 // SIMD is a dispatch choice, never an observable one. Schema v9 adds
-// "sketch_thread_scaling" and "rgg_bucketing_thread_scaling": the last two
-// per-round phases to shard — the dynamic backend's pair-sketch pass (one
-// task per listener block, streams keyed per (round, block)) and the RGG
-// transmitter bucketing (per transmitter chunk, RNG-free, cell-ordered
-// merge) — each timed serial vs all-core on a workload that phase
-// dominates, with the same bit-identity gate: divergence fails the run
-// with a non-zero exit. The sketch row runs at n >= 2^18 even in --quick
-// mode: below four listener blocks its sketch pass has nothing to share.
+// "sketch_thread_scaling": the dynamic backend's pair-sketch pass (one
+// task per listener block, streams keyed per (round, block)) timed serial
+// vs all-core on a workload that pass dominates, with the same
+// bit-identity gate: divergence fails the run with a non-zero exit.
+// Schema v10 drops the RGG distance-scan rows and "e13_simd" rgg fields
+// (that AVX2 kernel is gone) and replaces the RGG bucketing row with
+// "rgg_round_thread_scaling": whole mobility-gossip RGG trials (motion,
+// bucketing, sweep and merge), serial vs all-core, same identity gate.
+// The sketch and RGG rows run at n >= 2^18 even in --quick mode: below
+// four listener blocks their sweeps have nothing to share.
 //
 // Flags: --quick shrinks sizes/repetitions for smoke runs; --out overrides
 // the output path (default BENCH_engine.json in the working directory).
@@ -332,12 +333,13 @@ ThreadScaling time_sketch_thread_scaling(std::uint32_t n) {
   return s;
 }
 
-/// The sharded RGG transmitter bucketing's tracked number: one mobility
-/// gossip trial (the repeated-transmitter regime keeps k large, so the
-/// chunk-sharded counting sort + 3x3 stamp are a steady share of the
-/// round), serial vs all-core, bit-identity asserted. Bucketing draws no
-/// randomness, so a divergence means a cell-merge layout bug.
-ThreadScaling time_rgg_bucketing_thread_scaling(std::uint32_t n) {
+/// The implicit RGG round's tracked number: one mobility gossip trial (the
+/// repeated-transmitter regime keeps k large, so every round runs motion,
+/// the cell-ordered bucketing and the row-range sweep over all listener
+/// blocks), serial vs all-core, bit-identity asserted. Only the motion
+/// draws randomness, counter-keyed per (round, block), so a divergence
+/// means a sharding or layout bug.
+ThreadScaling time_rgg_round_thread_scaling(std::uint32_t n) {
   ThreadScaling s;
   s.n = n;
   s.pool_threads = radnet::global_pool().size();
@@ -673,9 +675,7 @@ struct SimdSweep {
 
 struct SimdNumbers {
   std::uint32_t dense_n = 0;
-  std::uint32_t rgg_n = 0;
   SimdSweep dense;
-  SimdSweep rgg;
   bool lanes_identical = false;  ///< bulk lane stream == scalar reference
 };
 
@@ -695,46 +695,6 @@ SimdSweep time_dense_classify(std::uint32_t n, std::uint32_t reps) {
     radnet::simd::set_mode(mode);
     radnet::sim::ImplicitGnpTopology topo(
         radnet::sim::ImplicitGnp{n, p, Rng(91)});
-    FingerprintSink sink;
-    Sample ns;
-    radnet::sim::Round round = 0;  // backends require non-decreasing rounds
-    for (std::uint32_t rep = 0; rep < reps; ++rep) {
-      const double t0 = now_ns();
-      for (radnet::sim::Round r = 0; r < kRounds; ++r) {
-        topo.begin_round(round++);
-        topo.deliver({tx.data(), tx.size()}, is_tx, /*half_duplex=*/false,
-                     radnet::sim::DeliveryPath::kAuto, std::nullopt,
-                     /*collisions_inert=*/false, sink);
-      }
-      ns.add((now_ns() - t0) / kRounds);
-    }
-    *ns_out = ns.median();
-    *fp_out = sink.hash ^ sink.deliveries ^ (sink.collisions << 1);
-  };
-  run(radnet::simd::Mode::kScalar, &s.scalar_ns, &s.scalar_fp);
-  run(radnet::simd::Mode::kAvx2, &s.simd_ns, &s.simd_fp);
-  return s;
-}
-
-/// Per-sweep cost of the RGG distance-mask scan: mean degree 64 with half
-/// the nodes transmitting keeps every cell populated, so the scan (not the
-/// bucketing) dominates. begin_round's counter-keyed motion sweep is
-/// included — it is mode-independent, so the delta between the rows is
-/// the scan alone.
-SimdSweep time_rgg_distance(std::uint32_t n, std::uint32_t reps) {
-  SimdSweep s;
-  const double radius = std::sqrt(64.0 / (3.141592653589793 * n));
-  std::vector<NodeId> tx;
-  std::vector<char> is_tx(n, 0);
-  for (NodeId v = 0; v < n; v += 2) {
-    tx.push_back(v);
-    is_tx[v] = 1;
-  }
-  const auto run = [&](radnet::simd::Mode mode, double* ns_out,
-                       std::uint64_t* fp_out) {
-    radnet::simd::set_mode(mode);
-    radnet::sim::ImplicitRggTopology topo(
-        radnet::sim::ImplicitRgg{n, radius, radius / 8.0, Rng(92)});
     FingerprintSink sink;
     Sample ns;
     radnet::sim::Round round = 0;  // backends require non-decreasing rounds
@@ -781,10 +741,8 @@ bool lane_streams_identical() {
 SimdNumbers time_simd_sweeps(bool quick) {
   SimdNumbers s;
   s.dense_n = quick ? (1u << 14) : (1u << 16);
-  s.rgg_n = quick ? (1u << 14) : (1u << 16);
   const std::uint32_t reps = quick ? 3 : 5;
   s.dense = time_dense_classify(s.dense_n, reps);
-  s.rgg = time_rgg_distance(s.rgg_n, reps);
   s.lanes_identical = lane_streams_identical();
   return s;
 }
@@ -951,15 +909,15 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const ThreadScaling bts =
-      time_rgg_bucketing_thread_scaling(quick ? (1u << 14) : (1u << 20));
-  std::cout << "RGG bucketing thread scaling n=" << bts.n << ": serial "
-            << bts.serial_ms << " ms, " << bts.pool_threads << "-thread "
-            << bts.parallel_ms << " ms, speedup " << bts.speedup << "x, "
-            << (bts.identical ? "bit-identical" : "DIVERGED") << "\n";
-  if (!bts.identical) {
-    std::cerr << "RGG bucketing serial-vs-parallel runs diverged — "
-                 "cell-merge layout bug\n";
+  const ThreadScaling rts =
+      time_rgg_round_thread_scaling(quick ? (1u << 18) : (1u << 20));
+  std::cout << "RGG round thread scaling n=" << rts.n << ": serial "
+            << rts.serial_ms << " ms, " << rts.pool_threads << "-thread "
+            << rts.parallel_ms << " ms, speedup " << rts.speedup << "x, "
+            << (rts.identical ? "bit-identical" : "DIVERGED") << "\n";
+  if (!rts.identical) {
+    std::cerr << "RGG round serial-vs-parallel runs diverged — "
+                 "sharding or cell-layout bug\n";
     return 1;
   }
 
@@ -1040,12 +998,8 @@ int main(int argc, char** argv) {
   radnet::simd::set_mode(host_mode);
   std::cout << "SIMD sweeps (E13) dense n=" << e13.dense_n << ": scalar "
             << e13.dense.scalar_ns << " ns/sweep, simd " << e13.dense.simd_ns
-            << " ns/sweep, speedup " << e13.dense.speedup()
-            << "x; rgg n=" << e13.rgg_n << ": scalar " << e13.rgg.scalar_ns
-            << " ns/sweep, simd " << e13.rgg.simd_ns << " ns/sweep, speedup "
-            << e13.rgg.speedup() << "x, "
-            << (e13.dense.identical() && e13.rgg.identical() &&
-                        e13.lanes_identical
+            << " ns/sweep, speedup " << e13.dense.speedup() << "x, "
+            << (e13.dense.identical() && e13.lanes_identical
                     ? "bit-identical"
                     : "DIVERGED")
             << "\n";
@@ -1059,27 +1013,18 @@ int main(int argc, char** argv) {
                  "scalar and SIMD dispatch\n";
     return 1;
   }
-  if (!e13.rgg.identical()) {
-    std::cerr << "SIMD gate: RGG distance-scan events diverged between "
-                 "scalar and SIMD dispatch\n";
-    return 1;
-  }
   entries.push_back(
       {"dense_classify_sweep_scalar", e13.dense_n, e13.dense.scalar_ns, 0.0,
        1, peak_rss_kb()});
   entries.push_back({"dense_classify_sweep_simd", e13.dense_n,
                      e13.dense.simd_ns, 0.0, 1, peak_rss_kb()});
-  entries.push_back({"rgg_distance_sweep_scalar", e13.rgg_n,
-                     e13.rgg.scalar_ns, 0.0, 1, peak_rss_kb()});
-  entries.push_back({"rgg_distance_sweep_simd", e13.rgg_n, e13.rgg.simd_ns,
-                     0.0, 1, peak_rss_kb()});
 
   std::ofstream out(out_path);
   if (!out) {
     std::cerr << "cannot write " << out_path << '\n';
     return 1;
   }
-  out << "{\n  \"schema\": \"radnet-bench-engine-v9\",\n  \"host\": {"
+  out << "{\n  \"schema\": \"radnet-bench-engine-v10\",\n  \"host\": {"
       << "\"hardware_concurrency\": "
       << std::max(1u, std::thread::hardware_concurrency())
       << ", \"pool_threads\": " << radnet::global_pool().size()
@@ -1121,12 +1066,12 @@ int main(int argc, char** argv) {
       << ", \"speedup\": " << sts.speedup
       << ", \"pool_threads\": " << sts.pool_threads << ", \"identical\": "
       << (sts.identical ? "true" : "false") << "},\n"
-      << "  \"rgg_bucketing_thread_scaling\": {\"n\": " << bts.n
-      << ", \"serial_ms\": " << bts.serial_ms
-      << ", \"parallel_ms\": " << bts.parallel_ms
-      << ", \"speedup\": " << bts.speedup
-      << ", \"pool_threads\": " << bts.pool_threads << ", \"identical\": "
-      << (bts.identical ? "true" : "false") << "},\n"
+      << "  \"rgg_round_thread_scaling\": {\"n\": " << rts.n
+      << ", \"serial_ms\": " << rts.serial_ms
+      << ", \"parallel_ms\": " << rts.parallel_ms
+      << ", \"speedup\": " << rts.speedup
+      << ", \"pool_threads\": " << rts.pool_threads << ", \"identical\": "
+      << (rts.identical ? "true" : "false") << "},\n"
       << "  \"e14b_mobility\": {\"n\": " << mob.n
       << ", \"degree\": " << mob.degree << ", \"horizon\": " << mob.horizon
       << ", \"serial_ms\": " << mob.serial_ms
@@ -1168,14 +1113,8 @@ int main(int argc, char** argv) {
       << ", \"dense_scalar_ns\": " << e13.dense.scalar_ns
       << ", \"dense_simd_ns\": " << e13.dense.simd_ns
       << ", \"dense_speedup\": " << e13.dense.speedup()
-      << ", \"rgg_n\": " << e13.rgg_n
-      << ", \"rgg_scalar_ns\": " << e13.rgg.scalar_ns
-      << ", \"rgg_simd_ns\": " << e13.rgg.simd_ns
-      << ", \"rgg_speedup\": " << e13.rgg.speedup()
       << ", \"identical\": "
-      << (e13.dense.identical() && e13.rgg.identical() && e13.lanes_identical
-              ? "true"
-              : "false")
+      << (e13.dense.identical() && e13.lanes_identical ? "true" : "false")
       << "}\n}\n";
   std::cout << "wrote " << out_path << '\n';
   return 0;
